@@ -13,7 +13,7 @@ quantitative claim into pass/fail suites; cli exposes the lot.
 from .bubbles import (BubbleSpec, MollifierSpec, Profile, alternative_mollifier,
                       appendix_closed_forms, bubble_values, default_mollifier,
                       eta_callables, lemma_add1_integrals, make_bubble, make_eta,
-                      make_falpha, mollify_profile, narrow_mollifier,
+                      make_falpha, narrow_mollifier,
                       profile_L, profile_cusp, profile_orlicz_limit, profile_tent,
                       ORLICZ_LIMIT_CONST)
 from .concentration import ConcentrationReport, gaussian_test, pair_concentration, plateau_test

@@ -458,36 +458,12 @@ def narrow_mollifier(width: float = 0.3) -> MollifierSpec:
                          support=(-width, width))
 
 
-@dataclass
-class SampledCurve:
-    """Plain sampled function of one variable (mollified profiles live here:
-    their support reaches below 0, so they are not Profile instances)."""
-
-    s: np.ndarray
-    values: np.ndarray
-
-    def eval(self, y):
-        return np.interp(np.asarray(y, dtype=float), self.s, self.values,
-                         left=0.0, right=float(self.values[-1]))
-
-
 def mollified_profile_values(psi: Profile, alpha: float, rho: MollifierSpec, y):
     """(psi * rho_alpha)(y) = int psi(y - t/alpha) rho(t) dt by Gauss-Legendre."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     t, w = rho.conv_nodes()
     vals = psi.eval(y[:, None] - (t / alpha)[None, :])
     return vals @ w
-
-
-def mollify_profile(psi: Profile, alpha: float, rho: MollifierSpec | None = None,
-                    s_max: float | None = None, n: int = 4097) -> SampledCurve:
-    """Sample psi * rho_alpha on [-1/alpha, s_max]; support starts at -1/alpha."""
-    if alpha < 1:
-        raise ValueError("mollification scale alpha must be >= 1")
-    rho = rho or default_mollifier()
-    s_max = s_max if s_max is not None else psi.span
-    y = np.linspace(-1.0 / alpha, s_max, n)
-    return SampledCurve(y, mollified_profile_values(psi, alpha, rho, y))
 
 
 @dataclass

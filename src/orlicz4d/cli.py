@@ -30,7 +30,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_BUDGET = int(os.environ.get("ORLICZ4D_NODE_BUDGET", "2048"))
+DEFAULT_BUDGET = 2048
+
+
+def _node_budget() -> int:
+    """Grid density of the generators: ORLICZ4D_NODE_BUDGET, read per run so
+    that a bad value is a validation failure, not an import error."""
+    raw = os.environ.get("ORLICZ4D_NODE_BUDGET", str(DEFAULT_BUDGET))
+    if not raw.strip().isdecimal() or int(raw) <= 0:
+        raise ValueError(f"ORLICZ4D_NODE_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _orlicz_config(args) -> OrliczConfig:
@@ -121,14 +130,14 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def run(args) -> int:
     if args.command == "gen-falpha":
-        refine = max(DEFAULT_BUDGET / 2048.0, 0.25)
+        refine = max(_node_budget() / DEFAULT_BUDGET, 0.25)
         f = bb.make_falpha(args.alpha, grid=bb.falpha_grid(args.alpha, refine=refine))
         _emit(ser.logradial_to_dict(f), args.out)
 
     elif args.command == "gen-bubble":
         spec = bb.BubbleSpec(alpha=args.alpha, profile=_load_profile(args.profile),
                              mollified=args.mollified == "true")
-        grid = bb.bubble_grid(args.alpha, n_bubble=DEFAULT_BUDGET)
+        grid = bb.bubble_grid(args.alpha, n_bubble=_node_budget())
         _emit(ser.logradial_to_dict(bb.make_bubble(spec, grid=grid)), args.out)
 
     elif args.command == "norm":

@@ -7,14 +7,8 @@ scale), rescale to the profile variable psi_n(y) = sqrt(8 pi^2/alpha_n)
 v_n(alpha_n y), freeze the largest-index snapshot as the profile, subtract
 the mollified bubble it generates, and iterate on the remainder.  Each
 subtraction removes 1/4 ||psi'||^2 of the (1/r) d_r energy (the ledger).
-
-At finite n the frozen snapshot extraction absorbs traces of bubbles living
-at other scales (the weak limit that kills them in the asymptotic argument
-has no finite surrogate), so after the greedy pursuit the components are
-polished by back-fitting: each component is re-detected and re-extracted
-against the family minus all other components until the profiles settle.
-The reported A-history, ledgers and remainder come from the refined
-components.
+A step is kept only if the remainder's Orlicz mass does not grow beyond the
+bisection tolerance; otherwise the pursuit stops before it.
 """
 
 from __future__ import annotations
@@ -354,7 +348,8 @@ def synthesize_family(indices: list[int],
 # --------------------------------------------------------------------------
 
 def _impute_scales(indices: list[int], found: dict[int, float]) -> np.ndarray:
-    """Fill failed detections by log-log interpolation over the index values."""
+    """Fill failed detections by log-log interpolation over the index values
+    (at least two detections are required)."""
     li = np.log(np.asarray(indices, dtype=float))
     ks = sorted(found)
     lx = np.log(np.asarray([indices[k] for k in ks], dtype=float))
@@ -363,8 +358,6 @@ def _impute_scales(indices: list[int], found: dict[int, float]) -> np.ndarray:
     for j in range(len(indices)):
         if j in found:
             out[j] = found[j]
-        elif len(ks) == 1:
-            out[j] = found[ks[0]]
         else:
             slope_lo = (ly[1] - ly[0]) / (lx[1] - lx[0])
             slope_hi = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
@@ -393,31 +386,18 @@ def _detect_family(family: SequenceFamily, A_ref: float) -> tuple[dict[int, floa
     return found, failed
 
 
-def _residual_family(family: SequenceFamily,
-                     comps: list[tuple[ScaleSeq, Profile]],
-                     skip: int | None, rho: MollifierSpec,
-                     mollified: bool) -> SequenceFamily:
-    fam = family
-    for j, (sc, psi) in enumerate(comps):
-        if j == skip:
-            continue
-        fam = subtract_bubble(fam, sc, psi, rho, mollified)
-    return fam
-
-
 def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
               stop_frac: float = 0.1, max_profiles: int = 5,
               rho: MollifierSpec | None = None, mollified: bool = True,
-              refine_rounds: int = 10, d_min: float = 1.5,
               scale_min: float = 2.0, y_max: float = 1.5) -> DecompositionResult:
-    """Full loop: estimate A_0, detect/extract/subtract per iteration, keep
-    the energy ledger, back-fit, and report the refined bookkeeping.
+    """Greedy pursuit: estimate A_0, then per step detect the scales, extract
+    the profile, subtract its bubble and re-estimate the Orlicz mass.
 
-    Scales failing the orthogonality check against every previous component
-    are merged into the closest previous one (its profile re-extracted)
-    instead of opening a new component.  Detection failures at individual
-    indices are tolerated (subsequence surrogate): those scales are imputed
-    log-linearly and revisited during refinement.
+    A step whose remainder has a larger mass (beyond the bisection
+    tolerance) is dropped and ends the pursuit, so the reported A-history is
+    nonincreasing and each ledger entry belongs to a kept component.
+    Detection failures at individual indices are tolerated (subsequence
+    surrogate): those scales are imputed log-linearly.
     """
     cfg = cfg or OrliczConfig()
     rho_candidates = ([rho] if rho is not None
@@ -430,6 +410,7 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         "stabilization": [],
         "detect_failures": [],
     }
+    events = diagnostics["events"]
 
     A0 = estimate_A0(family, cfg)
     if A0 <= 1e-12:
@@ -437,37 +418,31 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
                                    np.zeros((0, 0)), diagnostics)
 
     comps: list[tuple[ScaleSeq, Profile]] = []
-    comp_refs: list[float] = []       # detection reference A per component
+    ledgers: list[float] = []
     A_hist = [A0]
     working = family
-    merges = 0
+    tol = 1.0 + 2.0 * cfg.lambda_tol
 
-    for _ in range(max_profiles + max_profiles):
-        if len(comps) >= max_profiles:
-            diagnostics["events"].append("max_profiles reached")
-            break
-        A_ref = A_hist[-1]
-        found, failed = _detect_family(working, A_ref)
+    for _ in range(max_profiles):
+        found, failed = _detect_family(working, A_hist[-1])
         diagnostics["detect_failures"].append([family.indices[j] for j in failed])
         if len(found) < 2:
-            diagnostics["events"].append("detection exhausted")
+            events.append("detection exhausted")
             break
-        alpha = _impute_scales(family.indices, found)
-        alpha, repaired = _monotone_repair(alpha)
+        alpha, repaired = _monotone_repair(_impute_scales(family.indices, found))
         if repaired:
-            diagnostics["events"].append("scale sequence monotonized")
+            events.append("scale sequence monotonized")
         if alpha[-1] < scale_min:
-            diagnostics["events"].append(
-                f"detected scale {alpha[-1]:.3g} below scale_min={scale_min:g}")
+            events.append(f"detected scale {alpha[-1]:.3g} below scale_min={scale_min:g}")
             break
         scales = ScaleSeq(alpha)
 
         ok = sorted(found)
         psi = _extract_pair(working, scales, ok[-1], ok[-2], y_max=y_max,
-                             stabilize=True)
+                            stabilize=True)
         diagnostics["stabilization"].append(psi.stabilization)
 
-        if len(comps) == 0 and len(rho_candidates) > 1:
+        if not comps and len(rho_candidates) > 1:
             # mollifier choice is asymptotically immaterial; at finite n pick
             # the shipped bump whose subtraction contracts the last member most
             last = working.members[-1]
@@ -479,102 +454,22 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
                                         last.values - bubble_values(last.grid.nodes, spec))
                 scores.append(orlicz_norm(rem, cfg))
             rho = rho_candidates[int(np.argmin(scores))]
-            diagnostics["events"].append(
-                f"subtraction mollifier: {rho.name} "
-                + "(scores " + ", ".join(f"{s:.4g}" for s in scores) + ")")
+            events.append(f"subtraction mollifier: {rho.name} "
+                          + "(scores " + ", ".join(f"{s:.4g}" for s in scores) + ")")
 
-        merged = False
-        if comps:
-            reports = [orthogonality_check(scales, sc, d_min) for sc, _ in comps]
-            if not all(r.orthogonal for r in reports):
-                # merge into the closest previous component and re-extract it
-                gaps = [abs(np.log(scales.last() / sc.last())) for sc, _ in comps]
-                j_star = int(np.argmin(gaps))
-                merges += 1
-                diagnostics["events"].append(f"merged into component {j_star}")
-                resid = _residual_family(family, comps, j_star, rho, mollified)
-                found_j, _ = _detect_family(resid, comp_refs[j_star])
-                if len(found_j) >= 2:
-                    a_j = _monotone_repair(_impute_scales(family.indices, found_j))[0]
-                    sc_j = ScaleSeq(a_j)
-                    okj = sorted(found_j)
-                    psi_j = _extract_pair(resid, sc_j, okj[-1], okj[-2], y_max=y_max,
-                                          stabilize=True)
-                    comps[j_star] = (sc_j, psi_j)
-                merged = True
-                if merges > max_profiles:
-                    diagnostics["events"].append("merge budget exhausted")
-                    break
-
-        if not merged:
-            comps.append((scales, psi))
-            comp_refs.append(A_ref)
-
-        working = _residual_family(family, comps, None, rho, mollified)
-        A_next = estimate_A0(working, cfg)
+        nxt = subtract_bubble(working, scales, psi, rho, mollified)
+        A_next = estimate_A0(nxt, cfg)
+        if A_next > A_hist[-1] * tol:
+            events.append("pursuit not contracting")
+            break
+        comps.append((scales, psi))
+        ledgers.append(energy_ledger(working, nxt, psi))
         A_hist.append(A_next)
+        working = nxt
         if A_next <= stop_frac * A0:
             break
-        if A_next > A_hist[-2] * (1.0 + 2.0 * cfg.lambda_tol) and not merged:
-            diagnostics["events"].append("pursuit not contracting")
-            break
-
-    # ---- back-fitting refinement -------------------------------------------
-    # Scales found during pursuit come from much cleaner data than any
-    # mid-refinement residual, so re-detection is only trusted inside a
-    # log-window around them; outside (or on failure) the old scale stays.
-    if len(comps) >= 2 and refine_rounds > 0:
-        quality = estimate_A0(_residual_family(family, comps, None, rho, mollified), cfg)
-        for round_no in range(refine_rounds):
-            saved = list(comps)
-            shift = 0.0
-            for j in range(len(comps)):
-                resid = _residual_family(family, comps, j, rho, mollified)
-                found_j, _ = _detect_family(resid, comp_refs[j])
-                old_alpha = comps[j][0].alpha
-                kept = {k: a for k, a in found_j.items()
-                        if abs(np.log(a / old_alpha[k])) <= 0.2}
-                if len(kept) >= 2:
-                    a_j = _monotone_repair(_impute_scales(family.indices, kept))[0]
-                    okj = sorted(kept)
-                else:
-                    a_j = old_alpha
-                    okj = [len(a_j) - 2, len(a_j) - 1]
-                sc_j = ScaleSeq(a_j)
-                psi_j = _extract_pair(resid, sc_j, okj[-1], okj[-2], y_max=y_max,
-                                      stabilize=True)
-                old = comps[j][1]
-                common = np.linspace(0.0, min(old.span, psi_j.span), 257)
-                shift = max(shift, float(np.max(np.abs(old.eval(common)
-                                                       - psi_j.eval(common)))))
-                comps[j] = (sc_j, psi_j)
-            new_quality = estimate_A0(
-                _residual_family(family, comps, None, rho, mollified), cfg)
-            if new_quality > quality * (1.0 + 2.0 * cfg.lambda_tol):
-                comps[:] = saved
-                diagnostics["events"].append(
-                    f"refine round {round_no} reverted ({new_quality:.4g} > {quality:.4g})")
-                break
-            quality = new_quality
-            diagnostics["events"].append(f"refine round {round_no}: shift {shift:.3e}")
-            if shift < 1e-3:
-                break
-
-    # ---- final bookkeeping from the (refined) components --------------------
-    ledgers: list[float] = []
-    A_final = [A0]
-    current = family
-    for sc, psi in comps:
-        nxt = subtract_bubble(current, sc, psi, rho, mollified)
-        ledgers.append(energy_ledger(current, nxt, psi))
-        current = nxt
-        A_final.append(estimate_A0(current, cfg))
-
-    tol = 1.0 + 2.0 * cfg.lambda_tol
-    contracting = all(b <= a * tol for a, b in zip(A_final, A_final[1:]))
-    diagnostics["contracting"] = contracting
-    if not contracting:
-        diagnostics["events"].append("A history not nonincreasing")
+    else:  # every step kept, yet the mass never fell below stop_frac * A_0
+        events.append("max_profiles reached")
 
     k = len(comps)
     orth = np.zeros((k, k))
@@ -582,7 +477,7 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         for j in range(k):
             orth[i, j] = abs(np.log(comps[i][0].last() / comps[j][0].last()))
 
-    return DecompositionResult(components=comps, A_history=A_final,
-                               remainder=current, ledger=ledgers,
+    return DecompositionResult(components=comps, A_history=A_hist,
+                               remainder=working, ledger=ledgers,
                                orthogonality_matrix=orth,
                                diagnostics=diagnostics)

@@ -74,9 +74,11 @@ def test_mollifier_invariants():
 def test_mollify_plateau_and_support():
     L = bb.profile_L()
     alpha = 25.0
-    curve = bb.mollify_profile(L, alpha)
-    assert abs(curve.eval(1.0 + 1.0 / alpha + 1e-9) - 1.0) <= 1e-10
-    assert curve.eval(-1.0 / alpha - 1e-9) == 0.0
+    rho = bb.default_mollifier()
+    plateau, below = bb.mollified_profile_values(
+        L, alpha, rho, [1.0 + 1.0 / alpha + 1e-9, -1.0 / alpha - 1e-9])
+    assert abs(plateau - 1.0) <= 1e-10
+    assert below == 0.0
 
 
 def test_mollify_sup_distance_hoelder_bound():

@@ -242,6 +242,56 @@ def test_decompose_zero_family():
     assert res.A_history == []
 
 
+def test_decompose_rejects_non_contracting_step():
+    # the second step re-detects a flat scale sequence whose bubble raises A;
+    # it must be dropped, not kept with a broken ledger
+    res = decompose(mollified_L_family(), CFG, rho=bb.alternative_mollifier(),
+                    stop_frac=1e-3)
+    assert len(res.components) == 1
+    events = res.diagnostics["events"]
+    assert events[-1] == "pursuit not contracting"
+    assert "scale sequence monotonized" in events
+    assert all(l <= 0.05 for l in res.ledger)
+    assert len(res.A_history) == len(res.components) + 1
+    assert all(b <= a for a, b in zip(res.A_history, res.A_history[1:]))
+
+
+def test_decompose_imputes_failed_detection():
+    fam = pure_L_family()
+    m0 = fam.members[0]
+    blank = LogRadialFunction(m0.grid, np.zeros_like(m0.values))
+    res = decompose(SequenceFamily(fam.indices, [blank] + fam.members[1:]), CFG)
+    assert res.diagnostics["detect_failures"] == [[8]]
+    assert len(res.components) == 1
+    alpha = res.components[0][0].alpha
+    assert abs(alpha[0] - 8.05) <= 0.01  # log-log extrapolation from 16, 32, 64
+    assert np.all(np.diff(alpha) >= 0)
+
+
+def test_decompose_detection_exhausted():
+    res = decompose(pure_L_family(), CFG, stop_frac=1e-4)
+    assert len(res.components) == 1
+    assert res.diagnostics["events"][-1] == "detection exhausted"
+    assert res.diagnostics["detect_failures"][-1] == INDICES
+
+
+def test_decompose_max_profiles_reached():
+    res = decompose(mollified_L_family(), CFG, stop_frac=1e-4, max_profiles=1)
+    assert len(res.components) == 1
+    assert res.diagnostics["events"][-1] == "max_profiles reached"
+    assert res.A_history[-1] > 1e-4 * res.A_history[0]
+
+
+def test_decompose_scale_min_stop():
+    # the same shallow bubble at every index: no scale beyond scale_min
+    fam = synthesize_family([8, 16, 32], lambda n: [
+        bb.BubbleSpec(alpha=1.5, profile=L, mollifier=RHO, mollified=False)])
+    res = decompose(fam, CFG)
+    assert res.components == []
+    assert len(res.A_history) == 1
+    assert res.diagnostics["events"] == ["detected scale 1.51 below scale_min=2"]
+
+
 def test_decompose_reports_tail_gate():
     res = decompose(mollified_L_family(), CFG)
     gates = res.diagnostics["tail_mass"]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orlicz4d
 from orlicz4d import bubbles as bb
 from orlicz4d import serialize as ser
 from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
@@ -61,12 +66,14 @@ def test_cli_gen_norm_orlicz_pipeline(tmp_path):
     npath = tmp_path / "norm.json"
     assert main(["norm", "--in", str(fpath), "--which", "LAP",
                  "--out", str(npath)]) == EXIT_OK
-    lap = json.load(open(npath))["value"]
+    with open(npath) as fh:
+        lap = json.load(fh)["value"]
     want = np.sqrt(1.0 + 0.1 + bb.ETA_LAP_COEF / 10.0)
     assert abs(lap - want) <= 1e-3 * want
     opath = tmp_path / "orlicz.json"
     assert main(["orlicz", "--in", str(fpath), "--out", str(opath)]) == EXIT_OK
-    lam = json.load(open(opath))["orlicz_norm"]
+    with open(opath) as fh:
+        lam = json.load(fh)["orlicz_norm"]
     assert 0.05 < lam < 0.07
 
 
@@ -78,7 +85,8 @@ def test_cli_zero_norm(tmp_path):
     out = tmp_path / "n.json"
     assert main(["norm", "--in", str(zpath), "--which", "L2",
                  "--out", str(out)]) == EXIT_OK
-    assert json.load(open(out))["value"] == 0.0
+    with open(out) as fh:
+        assert json.load(fh)["value"] == 0.0
 
 
 def test_cli_gen_bubble_deterministic(tmp_path):
@@ -104,7 +112,8 @@ def test_cli_concentration_json(tmp_path):
     out = tmp_path / "conc.json"
     assert main(["concentration", "--alpha", "40", "--phi", "gaussian",
                  "--out", str(out)]) == EXIT_OK
-    d = json.load(open(out))
+    with open(out) as fh:
+        d = json.load(fh)
     assert set(d) == {"alpha", "pairing_lap", "pairing_exp", "split", "phi_at_zero"}
 
 
@@ -116,7 +125,8 @@ def test_cli_decompose(tmp_path):
     out = tmp_path / "result.json"
     assert main(["decompose", "--in", str(fpath), "--max-profiles", "3",
                  "--stop-frac", "0.1", "--out", str(out)]) == EXIT_OK
-    d = json.load(open(out))
+    with open(out) as fh:
+        d = json.load(fh)
     assert len(d["components"]) == 1
     assert d["A_history"][-1] <= 0.1 * d["A_history"][0]
 
@@ -128,6 +138,35 @@ def test_cli_validation_failures(tmp_path):
     bad.write_text('{"grid_s": [0.0, 1.0]}')
     assert main(["norm", "--in", str(bad), "--which", "L2"]) == EXIT_VALIDATION
     assert main(["no-such-command"]) == EXIT_VALIDATION
+
+
+def test_cli_bad_node_budget_is_validation_failure(tmp_path):
+    # a fresh interpreter: the variable used to be parsed at import time
+    src = str(Path(orlicz4d.__file__).resolve().parents[1])
+    env = dict(os.environ, ORLICZ4D_NODE_BUDGET="abc",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "f.json"
+    proc = subprocess.run([sys.executable, "-m", "orlicz4d.cli", "gen-falpha",
+                           "--alpha", "10", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "Traceback" not in proc.stderr
+    assert "ORLICZ4D_NODE_BUDGET" in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_node_budget_read_per_run(tmp_path, monkeypatch):
+    def falpha_nodes(budget):
+        monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", budget)
+        out = tmp_path / f"f{budget}.json"
+        assert main(["gen-falpha", "--alpha", "10", "--out", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            return len(json.load(fh)["grid_s"])
+
+    assert falpha_nodes("4096") > falpha_nodes("2048")
+    monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", "0")
+    assert main(["gen-bubble", "--alpha", "24",
+                 "--out", str(tmp_path / "b.json")]) == EXIT_VALIDATION
 
 
 def test_cli_numerical_failure(tmp_path):
@@ -144,4 +183,5 @@ def test_cli_verify_artifact_deterministic(tmp_path):
     assert main(["verify", "--suite", "falpha", "--seed", "7",
                  "--out", str(p2)]) == EXIT_OK
     assert p1.read_bytes() == p2.read_bytes()
-    assert json.load(open(p1))["passed"] is True
+    with open(p1) as fh:
+        assert json.load(fh)["passed"] is True
