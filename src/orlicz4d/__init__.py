@@ -3,10 +3,10 @@ on R^4 in the exponential Orlicz class.
 
 The package works in the log-radius variable s = -log|x|: norms reduce to
 weighted 1D integrals (gridfn, norms), the Luxemburg-type norm is found by
-bisection on its exponential functional (orlicz), the explicit concentrating
-family and bubble generators come with closed-form oracles (bubbles,
-concentration), and a constructive scale/profile extraction loop decomposes
-finite concentrating families (decompose).  verify bundles every checkable
+a seeded root-find on its exponential functional (orlicz), the explicit
+concentrating family and bubble generators come with closed-form oracles
+(bubbles, concentration), and a constructive scale/profile extraction loop
+decomposes finite concentrating families (decompose).  verify bundles every checkable
 quantitative claim into pass/fail suites; cli exposes the lot.
 """
 

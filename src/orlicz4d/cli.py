@@ -50,7 +50,7 @@ def _add_orlicz_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float, default=1.0,
                    help="constant on the right-hand side of the norm functional")
     p.add_argument("--lambda-tol", type=float, default=1e-4, dest="lambda_tol",
-                   help="relative bisection tolerance for the norm")
+                   help="relative tolerance for the norm")
 
 
 def build_parser() -> argparse.ArgumentParser:

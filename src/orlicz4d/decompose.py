@@ -8,7 +8,7 @@ v_n(alpha_n y), freeze the largest-index snapshot as the profile, subtract
 the mollified bubble it generates, and iterate on the remainder.  Each
 subtraction removes 1/4 ||psi'||^2 of the (1/r) d_r energy (the ledger).
 A step is kept only if the remainder's Orlicz mass does not grow beyond the
-bisection tolerance; otherwise the pursuit stops before it.
+norm's tolerance; otherwise the pursuit stops before it.
 """
 
 from __future__ import annotations
@@ -393,7 +393,7 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
     """Greedy pursuit: estimate A_0, then per step detect the scales, extract
     the profile, subtract its bubble and re-estimate the Orlicz mass.
 
-    A step whose remainder has a larger mass (beyond the bisection
+    A step whose remainder has a larger mass (beyond the norm's
     tolerance) is dropped and ends the pursuit, so the reported A-history is
     nonincreasing and each ledger entry belongs to a kept component.
     Detection failures at individual indices are tolerated (subsequence
@@ -444,7 +444,9 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
 
         if not comps and len(rho_candidates) > 1:
             # mollifier choice is asymptotically immaterial; at finite n pick
-            # the shipped bump whose subtraction contracts the last member most
+            # the shipped bump whose subtraction contracts the last member most,
+            # keeping the first candidate unless another beats it by more than
+            # the norm's resolution (scores can agree to 4 digits)
             last = working.members[-1]
             scores = []
             for cand in rho_candidates:
@@ -453,7 +455,8 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
                 rem = LogRadialFunction(last.grid,
                                         last.values - bubble_values(last.grid.nodes, spec))
                 scores.append(orlicz_norm(rem, cfg))
-            rho = rho_candidates[int(np.argmin(scores))]
+            best = int(np.argmin(scores))
+            rho = rho_candidates[best if scores[best] * tol < scores[0] else 0]
             events.append(f"subtraction mollifier: {rho.name} "
                           + "(scores " + ", ".join(f"{s:.4g}" for s in scores) + ")")
 

@@ -17,11 +17,13 @@ the spline-exact composite quadrature that all norm computations share.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 # Minimum node count for norm-grade grids (interpolation, differentiation
 # and quadrature all assume at least this much resolution).
@@ -58,8 +60,8 @@ class LogGrid:
     policy: str = "uniform"  # "uniform" | "graded"
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
+        # a private read-only copy: its quadrature weights can be cached
+        nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 1:
             raise ValueError("grid needs a 1D, non-empty node array")
         if not np.all(np.isfinite(nodes)):
@@ -68,6 +70,10 @@ class LogGrid:
             raise ValueError("grid nodes must be strictly increasing")
         if self.policy not in ("uniform", "graded"):
             raise ValueError(f"unknown grid policy {self.policy!r}")
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        _GRID_WEIGHTS[id(nodes)] = None
+        weakref.finalize(nodes, _GRID_WEIGHTS.pop, id(nodes), None)
 
     @property
     def size(self) -> int:
@@ -250,12 +256,74 @@ def _divdiff2(x: np.ndarray, y: np.ndarray) -> float:
 # quadrature
 # --------------------------------------------------------------------------
 
+# Spline quadrature weights of LogGrid node arrays, keyed by array identity.
+# The arrays are read-only, so a cached entry is never stale; an entry is
+# registered (as None) when the grid is built and dropped with its array.
+# It is a pure memo: a hit returns what a fresh computation would.
+_GRID_WEIGHTS: dict[int, np.ndarray | None] = {}
+
+
+def _quad_weights(nodes: np.ndarray) -> np.ndarray:
+    key = id(nodes)
+    if key not in _GRID_WEIGHTS:
+        return _spline_weights(nodes)
+    w = _GRID_WEIGHTS[key]
+    if w is None:
+        w = _GRID_WEIGHTS[key] = _spline_weights(nodes)
+    return w
+
+
+def _spline_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y = integral of the not-a-knot cubic spline
+    through (x, y) over [x_0, x_{n-1}], for n >= 4 strictly increasing nodes.
+
+    The spline's nodal slopes k solve the tridiagonal system A k = C D y of
+    scipy's CubicSpline (D: divided differences, C: the slope rows with the
+    not-a-knot ends).  Each cubic Hermite piece integrates to
+    h (y_i + y_{i+1}) / 2 + h^2 (k_i - k_{i+1}) / 12, so the integral is
+    t @ y + g @ k and w = t + D^T C^T z with A^T z = g: one O(n) solve.
+    """
+    h = np.diff(x)
+    n = x.size
+    t = np.zeros(n)
+    t[:-1] += 0.5 * h
+    t[1:] += 0.5 * h
+    g = np.zeros(n)
+    g[:-1] += h * h / 12.0
+    g[1:] -= h * h / 12.0
+    # A^T in banded form: rows are the super-, main and sub-diagonal of A^T
+    d0, d1 = h[0] + h[1], h[-1] + h[-2]
+    at = np.zeros((3, n))
+    at[1, 0], at[1, -1] = h[1], h[-2]
+    at[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    at[0, 1:-1] = h[1:]            # A[i, i-1] for the interior rows
+    at[0, -1] = d1                 # A[n-1, n-2]
+    at[2, 1:-1] = h[:-1]           # A[i, i+1] for the interior rows
+    at[2, 0] = d0                  # A[0, 1]
+    z = solve_banded((1, 1), at, g, check_finite=False)
+    # q = C^T z
+    q = np.zeros(n - 1)
+    q[:-1] += 3.0 * h[1:] * z[1:-1]
+    q[1:] += 3.0 * h[:-1] * z[1:-1]
+    q[0] += (h[0] + 2.0 * d0) * h[1] / d0 * z[0]
+    q[1] += h[0] ** 2 / d0 * z[0]
+    q[-2] += h[-1] ** 2 / d1 * z[-1]
+    q[-1] += (2.0 * d1 + h[-1]) * h[-2] / d1 * z[-1]
+    # w = t + D^T q
+    r = q / h
+    t[1:] += r
+    t[:-1] -= r
+    return t
+
+
 def integrate_samples(nodes: np.ndarray, samples: np.ndarray) -> float:
     """Integral over the node span of the cubic spline through the samples.
 
     The spline segments are integrated exactly, so the rule reproduces any
     single polynomial of degree <= 3 to rounding; this is the composite rule
-    every norm and functional in the package uses.
+    every norm and functional in the package uses.  The spline integral is a
+    fixed linear functional of the samples, evaluated as a dot product with
+    weights that are cached for the node array of a LogGrid.
     """
     nodes = np.asarray(nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -263,8 +331,7 @@ def integrate_samples(nodes: np.ndarray, samples: np.ndarray) -> float:
         raise ValueError("nodes/samples length mismatch")
     if nodes.size < 4:
         return float(np.trapezoid(samples, nodes))
-    sp = CubicSpline(nodes, samples, bc_type="not-a-knot")
-    return float(sp.integrate(nodes[0], nodes[-1]))
+    return float(_quad_weights(nodes) @ samples)
 
 
 # --------------------------------------------------------------------------

@@ -9,17 +9,20 @@ constant kappa.  In log-radius coordinates the functional reads
 
     J(lambda) = 2 pi^2  int ( e^{v(s)^2 / lambda^2} - 1 ) e^{-4s} ds,
 
-a continuous, nonincreasing function of lambda, so the norm is found by
-bisection on the crossing J(lambda) = kappa.
+a continuous, nonincreasing function of lambda, so the norm is the unique
+crossing J(lambda) = kappa.  It is found by safeguarded secant steps on
+log J - log kappa in log lambda from a closed-form seed, and returned as the
+midpoint of a sign-certified bracket.
 
 Exponents are handled in log form: the integrand is evaluated as
 exp(v^2/lambda^2 - 4s) - exp(-4s), cells are subdivided until the exponent
 varies slowly across each, and any exponent beyond the floating cap raises
-IntegrandOverflowError, which the bisection interprets as J > kappa.
+IntegrandOverflowError, which the root-find reads as J > kappa.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,11 +39,10 @@ _MAX_SUBDIV = 64
 
 @dataclass
 class OrliczConfig:
-    """kappa, bisection tolerance and bracket policy for the lambda search."""
+    """kappa, relative tolerance and evaluation cap for the lambda search."""
 
     kappa: float = 1.0
     lambda_tol: float = 1e-4
-    lambda_bracket: tuple[float, float] | None = None
     max_iter: int = 200
 
     def __post_init__(self):
@@ -48,16 +50,12 @@ class OrliczConfig:
             raise ValueError("kappa must be positive")
         if not 0.0 < self.lambda_tol < 1e-2:
             raise ValueError("lambda_tol must lie in (0, 1e-2)")
-        if self.lambda_bracket is not None:
-            lo, hi = self.lambda_bracket
-            if not 0 < lo < hi:
-                raise ValueError("bracket needs 0 < lo < hi")
         if self.max_iter < 8:
             raise ValueError("max_iter too small")
 
 
 class BracketExpansionError(RuntimeError):
-    """The lambda bracket could not be established within max_iter doublings."""
+    """No lambda bracket was certified within max_iter evaluations of J."""
 
 
 class TmResult(NamedTuple):
@@ -146,59 +144,94 @@ def tm_functional(f: LogRadialFunction, beta: float) -> TmResult:
 
 
 # --------------------------------------------------------------------------
-# Luxemburg norm by bisection
+# Luxemburg norm by a seeded, bracketed secant search
 # --------------------------------------------------------------------------
 
-def _functional_vs_kappa(f: LogRadialFunction, lam: float, kappa: float) -> int:
-    """Sign of J(lambda) - kappa, treating overflow as J = +infinity."""
+def _log_excess(f: LogRadialFunction, x: float, kappa: float) -> float:
+    """log J(e^x) - log kappa; overflow certifies J > kappa (+inf), and a
+    nonpositive quadrature value certifies J < kappa (-inf)."""
     try:
-        val = orlicz_functional(f, lam)
+        val = orlicz_functional(f, math.exp(x))
     except IntegrandOverflowError:
-        return 1
-    if val > kappa:
-        return 1
-    return -1 if val < kappa else 0
+        return math.inf
+    return math.log(val / kappa) if val > 0 else -math.inf
+
+
+def _seed(f: LogRadialFunction, kappa: float) -> tuple[float, float]:
+    """log lambda_0 and the slope guess d log J / d log lambda there.
+
+    Where J is dominated by one s, J ~ kappa means v(s)^2 / lambda^2 =
+    4s + log(kappa / 2 pi^2); lambda_0 is the largest such ratio (the
+    exponent floored at 1/2), and -2 v^2 / lambda_0^2 at its argmax is the
+    logarithmic slope of e^{v^2 / lambda^2} there.
+    """
+    q = np.maximum(4.0 * f.grid.nodes + math.log(kappa / TWO_PI2), 0.5)
+    ratio = np.abs(f.values) / np.sqrt(q)
+    k = int(np.argmax(ratio))
+    return math.log(float(ratio[k])), -2.0 * float(q[k])
+
 
 def orlicz_norm(f: LogRadialFunction, cfg: OrliczConfig | None = None) -> float:
     """The Luxemburg-type norm inf{lambda : J(lambda) <= kappa}.
 
-    Monotonicity of J makes the crossing unique; the returned lambda has
-    relative bracket width <= cfg.lambda_tol.  The zero function gives 0.
+    The search runs on v / max|v| (the norm is 1-homogeneous), so neither
+    tiny nor huge amplitudes leave floating range.  F = log J - log kappa
+    is smooth in log lambda with slope <= -2 (as t e^t >= e^t - 1), so the
+    crossing is unique and secant steps converge fast.  The first step
+    starts from the closed-form seed with its slope guess; each step is
+    placed just past the estimated crossing, so the bracket closes in a few
+    evaluations.  A step with no estimate inside the bracket is replaced by
+    bisection or, before the crossing is bracketed, by doubling lambda.
+    The result is the midpoint of a bracket [lo, hi] with J(lo) > kappa >=
+    J(hi) and relative width <= cfg.lambda_tol / 4.  The zero function
+    gives 0.
     """
     cfg = cfg or OrliczConfig()
     vmax = float(np.max(np.abs(f.values)))
     if vmax == 0.0:
         return 0.0
-
-    if cfg.lambda_bracket is not None:
-        lo, hi = map(float, cfg.lambda_bracket)
-    else:
-        lo = max(norm(f, NormKind.L2) / 10.0, 1e-12)
-        hi = 10.0 * vmax
-        if lo >= hi:
-            lo = hi / 1e6
-
-    # make sure [lo, hi] brackets the crossing, doubling outward as needed
-    expansions = 0
-    while _functional_vs_kappa(f, hi, cfg.kappa) > 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > cfg.max_iter:
-            raise BracketExpansionError("upper lambda bracket expansion failed")
-    expansions = 0
-    while _functional_vs_kappa(f, lo, cfg.kappa) < 0:
-        lo *= 0.5
-        expansions += 1
-        if expansions > cfg.max_iter:
-            # J(0+) <= kappa for essentially-vanishing data: norm below resolution
-            return 0.0
-
+    unit = f.scaled(1.0 / vmax)
+    width = 0.25 * cfg.lambda_tol      # bracket width to reach, in log lambda
+    lo, hi = -math.inf, math.inf        # log lambda with J > kappa / J <= kappa
+    x, slope = _seed(unit, cfg.kappa)
+    last: tuple[float, float] | None = None   # latest finite (x, F)
     for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= cfg.lambda_tol * mid:
-            break
-        if _functional_vs_kappa(f, mid, cfg.kappa) > 0:
-            lo = mid
+        F = _log_excess(unit, x, cfg.kappa)
+        if F > 0:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        # hi - lo bounds the relative width 2 tanh((hi - lo) / 2)
+        if hi - lo <= width:
+            return vmax * 0.5 * (math.exp(lo) + math.exp(hi))
+        if math.isfinite(F):
+            if last is not None:
+                secant = (F - last[1]) / (x - last[0])
+                slope = secant if secant < 0 else None
+            last = (x, F)
+        x = _next_point(lo, hi, last, slope, width)
+        if x is None:   # bisect, or double lambda outward
+            if math.isfinite(hi - lo):
+                x = 0.5 * (lo + hi)
+            else:
+                x = lo + math.log(2.0) if math.isfinite(lo) else hi - math.log(2.0)
+    raise BracketExpansionError(
+        f"no lambda bracket certified within {cfg.max_iter} evaluations")
+
+
+def _next_point(lo: float, hi: float, last: tuple[float, float] | None,
+                slope: float | None, width: float) -> float | None:
+    """The next log lambda: the secant estimate r of the crossing, moved
+    past it away from the nearer bracket end so that one more evaluation on
+    the far side can close the bracket; None without an estimate inside
+    (lo, hi)."""
+    if last is None or slope is None:
+        return None
+    r = last[0] - last[1] / slope
+    if not lo < r < hi:
+        return None
+    # the far end is more than width / 2 away, so the point stays inside
+    near = min(r - lo, hi - r)
+    step = max(0.4 * width, 0.95 * width - near)
+    return r + step if r - lo <= hi - r else r - step
+

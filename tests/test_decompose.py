@@ -208,6 +208,8 @@ def test_orthogonality_equal_scales():
 
 def test_decompose_single_bubble():
     res = decompose(mollified_L_family(), CFG)
+    # the standard bump wins the mollifier pick clearly (0.001883 vs 0.004329)
+    assert res.diagnostics["events"][0].startswith("subtraction mollifier: standard-bump")
     assert len(res.components) == 1
     assert res.A_history[-1] <= 0.1 * res.A_history[0]
     assert all(l <= 0.05 for l in res.ledger)
@@ -216,6 +218,8 @@ def test_decompose_single_bubble():
 def test_decompose_two_bubbles():
     fam = two_bubble_family()
     res = decompose(fam, CFG)
+    # the two scores tie to 4 digits: the first candidate is kept
+    assert res.diagnostics["events"][0].startswith("subtraction mollifier: narrow-bump-0.3")
     assert len(res.components) == 2
     lasts = sorted(sc.last() for sc, _ in res.components)
     assert abs(lasts[0] - 64.0) <= 0.1

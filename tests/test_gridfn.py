@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+from orlicz4d import gridfn
 from orlicz4d.gridfn import (GridDomainError, LogGrid, LogRadialFunction,
                              compose_segments, from_radius_samples,
                              integrate_samples, sample_radial, uniform_grid)
@@ -128,6 +132,44 @@ def test_quadrature_exact_on_global_cubics():
         val = integrate_samples(s, p(s))
         exact = p.integ()(s[-1]) - p.integ()(s[0])
         assert abs(val - exact) <= 1e-12 * max(abs(exact), 1.0)
+
+
+def random_graded_nodes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n nodes in up to five segments whose cell widths differ by up to e^4."""
+    k = int(rng.integers(1, 6))
+    widths = np.exp(rng.uniform(-4.0, 0.0, k))
+    h = np.concatenate([w * rng.uniform(0.9, 1.1, part.size)
+                        for w, part in zip(widths, np.array_split(np.arange(n - 1), k))])
+    return rng.uniform(-2.0, 0.0) + np.concatenate([[0.0], np.cumsum(h)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(4, 20_000), seed=st.integers(0, 2 ** 32 - 1))
+def test_quad_weights_match_spline_integral(n, seed):
+    rng = np.random.default_rng(seed)
+    x = random_graded_nodes(rng, n)
+    y = rng.uniform(0.5, 2.0, n)
+    want = CubicSpline(x, y, bc_type="not-a-knot").integrate(x[0], x[-1])
+    # a grid's node array (cached weights) and an ad-hoc array (uncached)
+    for nodes in (LogGrid(x, policy="graded").nodes, x):
+        assert abs(integrate_samples(nodes, y) - want) <= 1e-12 * abs(want)
+
+
+def test_quad_weights_cached_per_grid(monkeypatch):
+    builds = []
+    real = gridfn._spline_weights
+    monkeypatch.setattr(gridfn, "_spline_weights",
+                        lambda x: builds.append(x.size) or real(x))
+    g = uniform_grid(-1.0, 3.0, 50)
+    x = np.array(g.nodes)
+    y = np.cos(x)
+    vals = [integrate_samples(nodes, y) for nodes in (g.nodes, g.nodes, x, x)]
+    assert vals == [vals[0]] * 4
+    assert builds == [50, 50, 50]   # one for the grid, one per ad-hoc call
+    # the grid keeps a private read-only copy, so a cached entry is never stale
+    with pytest.raises(ValueError):
+        g.nodes[3] = 0.0
+    assert x.flags.writeable and LogGrid(x).nodes is not x
 
 
 def test_sample_radial_generator_roundtrip():

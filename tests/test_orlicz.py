@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from orlicz4d import bubbles as bb
+from orlicz4d import orlicz
 from orlicz4d.gridfn import (IntegrandOverflowError, LogRadialFunction,
                              compose_segments, sample_radial, uniform_grid)
 from orlicz4d.norms import NormKind, norm
-from orlicz4d.orlicz import (OrliczConfig, orlicz_functional, orlicz_norm,
-                             tm_functional)
+from orlicz4d.orlicz import (BracketExpansionError, OrliczConfig,
+                             orlicz_functional, orlicz_norm, tm_functional)
+from orlicz4d.verify import two_bubble_family
 
 PI2 = np.pi ** 2
 
@@ -65,10 +67,12 @@ def test_functional_nonincreasing_in_lambda():
 
 
 def test_norm_homogeneity():
+    # the extreme amplitudes underflow 1/lambda^2 or overflow v^2 unless the
+    # search runs on v / max|v|
     cfg = OrliczConfig(lambda_tol=1e-4)
     f = bb.make_falpha(15.0)
     base = orlicz_norm(f, cfg)
-    for c in (0.25, 3.0):
+    for c in (0.25, 3.0, 1e-200, 1e-160, 1e160, 1e200):
         got = orlicz_norm(f.scaled(c), cfg)
         assert abs(got - c * base) <= 2 * cfg.lambda_tol * c * base
 
@@ -80,13 +84,60 @@ def test_norm_nonincreasing_in_kappa():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def _J(f, lam):
+    try:
+        return orlicz_functional(f, lam)
+    except IntegrandOverflowError:
+        return np.inf
+
+
 def test_bracketing_certificate():
+    # the returned lambda is the midpoint of a certified bracket of relative
+    # width lambda_tol / 4, so J crosses kappa within lambda * lambda_tol / 8
     from orlicz4d.corpus import corpus_functions
-    cfg = OrliczConfig(lambda_tol=1e-4)
-    for f in [bb.make_falpha(20.0)] + corpus_functions(seed=4, count=3):
-        lam = orlicz_norm(f, cfg)
-        assert orlicz_functional(f, lam * (1 + 5 * cfg.lambda_tol)) <= cfg.kappa
-        assert orlicz_functional(f, lam * (1 - 5 * cfg.lambda_tol)) >= cfg.kappa
+    for tol in (1e-4, 2e-4):
+        cfg = OrliczConfig(lambda_tol=tol)
+        for f in ([bb.make_falpha(a) for a in (20.0, 80.0)] + corpus_functions(seed=4, count=3)
+                  + two_bubble_family().members[-2:]):
+            lam = orlicz_norm(f, cfg)
+            assert _J(f, lam * (1 + tol / 2)) <= cfg.kappa <= _J(f, lam * (1 - tol / 2))
+
+
+def test_j_budget(monkeypatch):
+    # the seeded secant search needs a median of at most 5 evaluations of J
+    calls = []
+    real = orlicz.orlicz_functional
+
+    def counted(f, lam):
+        calls[-1] += 1
+        return real(f, lam)
+
+    monkeypatch.setattr(orlicz, "orlicz_functional", counted)
+    for functions, tol in (([bb.make_falpha(a) for a in np.geomspace(20.0, 200.0, 9)], 1e-4),
+                           (two_bubble_family().members, 2e-4)):
+        calls.clear()
+        for f in functions:
+            calls.append(0)
+            orlicz_norm(f, OrliczConfig(lambda_tol=tol))
+        assert np.median(calls) <= 5
+
+
+def test_root_find_fallbacks(monkeypatch):
+    # a J that is finite on one side only: beyond the crossing it is a
+    # nonpositive quadrature value, so the search doubles outward from the
+    # seed and then bisects until the bracket is certified
+    monkeypatch.setattr(orlicz, "orlicz_functional",
+                        lambda f, lam: 0.0 if lam >= 3.0 else 2.0)
+    f = bb.make_falpha(20.0)
+    lam = orlicz_norm(f, OrliczConfig(lambda_tol=1e-4))
+    vmax = float(np.max(np.abs(f.values)))
+    assert abs(lam - 3.0 * vmax) <= 1e-4 * 3.0 * vmax
+
+
+def test_root_find_gives_up_after_max_iter(monkeypatch):
+    monkeypatch.setattr(orlicz, "orlicz_functional", lambda f, lam: 2.0)
+    with pytest.raises(BracketExpansionError):
+        orlicz_norm(bb.make_falpha(20.0), OrliczConfig(max_iter=8))
 
 
 def test_overflow_signals_small_lambda():
