@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .gridfn import (LogGrid, LogRadialFunction, bubble_grid, compose_segments,
-                     integrate_samples, _fd_derivative)
+                     integrate_samples, sample_radial)
 
 PI2 = np.pi ** 2
 SQRT_8PI2 = np.sqrt(8.0 * PI2)
@@ -171,13 +171,8 @@ def make_eta(alpha: float, n: int = 481) -> LogRadialFunction:
     1/sqrt(alpha).
     """
     eta, _, _, _ = eta_callables(alpha)
-    grid = LogGrid(np.linspace(-0.75, 0.0, n), policy="uniform")
-
-    def gen(s):
-        return eta(np.exp(-np.asarray(s, dtype=float)))
-
-    return LogRadialFunction(grid, gen(grid.nodes), name=f"eta[{alpha:g}]",
-                             closed_form="eta", generator=gen)
+    return sample_radial(eta, LogGrid(np.linspace(-0.75, 0.0, n)),
+                         name=f"eta[{alpha:g}]", closed_form="eta")
 
 
 # --------------------------------------------------------------------------
@@ -188,10 +183,11 @@ def make_eta(alpha: float, n: int = 481) -> LogRadialFunction:
 class Profile:
     """One-variable profile psi with psi == 0 on (-inf, 0].
 
-    Sampled on s >= 0 nodes; ``fn``/``dfn`` hold the analytic value and
-    derivative when the profile has a closed form (evaluation then bypasses
-    the spline).  Beyond the sampled span the profile extends by its last
-    value: bubble tails are killed by the e^{-4 alpha s} weight anyway.
+    Sampled on s >= 0 nodes (at least 4, the cubic spline's floor), held as
+    a LogRadialFunction on their LogGrid; ``fn``/``dfn`` hold the analytic
+    value and derivative when the profile has a closed form (evaluation then
+    bypasses the spline).  Beyond the sampled span the profile extends by its
+    last value: bubble tails are killed by the e^{-4 alpha s} weight anyway.
     ``stabilization`` carries the cross-index extraction diagnostic.
     """
 
@@ -201,23 +197,19 @@ class Profile:
     fn: Callable | None = field(default=None, repr=False, compare=False)
     dfn: Callable | None = field(default=None, repr=False, compare=False)
     stabilization: float | None = None
-    _spline: object = field(default=None, repr=False, compare=False)
+    _f: LogRadialFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.s.ndim != 1 or self.s.size < 2 or self.s.shape != self.values.shape:
-            raise ValueError("profile needs matching 1D s/value arrays (>= 2 nodes)")
-        if self.s[0] < 0:
+        self._f = LogRadialFunction(LogGrid(self.s), self.values, name=self.tag)
+        if self._f.grid.size < 4:
+            raise ValueError("profile needs at least 4 nodes (cubic spline)")
+        if self._f.grid.s_min < 0:
             raise ValueError("profile samples live on s >= 0")
-        if not np.all(np.diff(self.s) > 0):
-            raise ValueError("profile nodes must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("profile values must be finite")
+        self.s, self.values = self._f.grid.nodes, self._f.values
 
     @property
     def span(self) -> float:
-        return float(self.s[-1])
+        return self._f.grid.s_max
 
     def eval(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -227,15 +219,10 @@ class Profile:
         if self.fn is not None:
             out[pos] = self.fn(yy[pos])
         else:
-            if self._spline is None:
-                from scipy.interpolate import CubicSpline
-                object.__setattr__(self, "_spline",
-                                   CubicSpline(self.s, self.values, bc_type="not-a-knot"))
             inside = pos & (yy <= self.span)
-            out[inside] = self._spline(yy[inside])
-            beyond = pos & (yy > self.span)
-            out[beyond] = self.values[-1]
-        return out if np.asarray(y).ndim else float(out[0])
+            out[inside] = self._f.spline()(yy[inside])
+            out[pos & (yy > self.span)] = self.values[-1]
+        return out if y.ndim else float(out[0])
 
     @property
     def deriv_l2(self) -> float:
@@ -244,7 +231,7 @@ class Profile:
             val, _ = quad(lambda t: self.dfn(np.array([t]))[0] ** 2,
                           0.0, self.span, limit=400)
             return float(np.sqrt(val))
-        d = _fd_derivative(self.s, self.values, 1)
+        d = self._f.derivative(1).values
         return float(np.sqrt(max(integrate_samples(self.s, d * d), 0.0)))
 
     @property
@@ -570,7 +557,7 @@ def falpha_grid(alpha: float, h_kink: float = 5e-4, refine: float = 1.0) -> LogG
     dn_a = a - _geometric_offsets(h_kink / refine, a / (250.0 * refine), a / 2.0)[::-1]
     tail = a + _geometric_offsets(h_kink / refine, 0.03 / refine, 14.0)
     nodes = np.unique(np.concatenate([left, up0, dn_a[:-1], [a], tail]))
-    return LogGrid(nodes, policy="graded")
+    return LogGrid(nodes)
 
 
 def make_falpha(alpha: float, grid: LogGrid | None = None) -> LogRadialFunction:

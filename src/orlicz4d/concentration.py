@@ -89,8 +89,7 @@ def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
     def phi1(r):
         return float(np.asarray(phi(np.asarray([r], dtype=float))).reshape(-1)[0])
 
-    _, _, _, lap_eta = eta_callables(a)
-    eta_fn, _, _, _ = eta_callables(a)
+    eta_fn, _, _, lap_eta = eta_callables(a)
 
     # ---- |Lap f|^2 pairing ------------------------------------------------
     # inner ball, t = r e^alpha: |Lap f|^2 = 2 e^{4a}/(pi^2 a), measure 2 pi^2 r^3 dr

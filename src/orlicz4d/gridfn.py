@@ -48,7 +48,7 @@ class IntegrandOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Strictly increasing s-nodes (s = -log r) with a spacing policy tag.
+    """Strictly increasing s-nodes (s = -log r).
 
     Norm-grade grids (the ones produced by the builders below) have at least
     MIN_NORM_NODES nodes and span s_min < 0 < s_max so that both |x| > 1 and
@@ -57,7 +57,6 @@ class LogGrid:
     """
 
     nodes: np.ndarray
-    policy: str = "uniform"  # "uniform" | "graded"
 
     def __post_init__(self):
         # a private read-only copy: its quadrature weights can be cached
@@ -68,8 +67,6 @@ class LogGrid:
             raise ValueError("grid nodes must be finite")
         if nodes.size > 1 and not np.all(np.diff(nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if self.policy not in ("uniform", "graded"):
-            raise ValueError(f"unknown grid policy {self.policy!r}")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         _GRID_WEIGHTS[id(nodes)] = None
@@ -95,7 +92,7 @@ class LogGrid:
 def uniform_grid(s_min: float, s_max: float, n: int) -> LogGrid:
     if not s_min < s_max:
         raise ValueError("need s_min < s_max")
-    return LogGrid(np.linspace(s_min, s_max, n), policy="uniform")
+    return LogGrid(np.linspace(s_min, s_max, n))
 
 
 def compose_segments(segments: list[tuple[float, float, int]]) -> LogGrid:
@@ -110,7 +107,7 @@ def compose_segments(segments: list[tuple[float, float, int]]) -> LogGrid:
             raise ValueError("segment endpoints must increase")
         seg = np.linspace(a, b, max(int(n), 2))
         parts.append(seg if i == 0 else seg[1:])
-    return LogGrid(np.concatenate(parts), policy="graded")
+    return LogGrid(np.concatenate(parts))
 
 
 def bubble_grid(alpha: float, n_bubble: int = 2048, s_lo: float = -1.5,
@@ -358,7 +355,7 @@ def from_radius_samples(r_points, u_values, name: str = "") -> LogRadialFunction
             raise ValueError("radii must be strictly monotone")
     s = -np.log(r)
     order = np.argsort(s)
-    return LogRadialFunction(LogGrid(s[order], policy="graded"), u[order], name=name)
+    return LogRadialFunction(LogGrid(s[order]), u[order], name=name)
 
 
 def sample_radial(u_of_r: Callable[[np.ndarray], np.ndarray], grid: LogGrid,

@@ -11,6 +11,7 @@ which stays in floating range even when Lap u is enormous near r = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,63 +32,56 @@ class NormKind(Enum):
     SCHROEDINGER = "schroedinger"
 
 
+# Each squared norm is 2 pi^2 times the spline integral of its integrand, a
+# function of s, v, v' and lap = v'' - 2 v'; the number says which of the
+# derivatives it needs (0: none, 1: v', 2: v' and lap).  Keys are the
+# NormKind values.
+_INTEGRANDS = {
+    "l2": (0, lambda s, v, dv, lap: np.exp(-4.0 * s) * v * v),
+    "grad": (1, lambda s, v, dv, lap: np.exp(-2.0 * s) * dv * dv),
+    "invr_grad": (1, lambda s, v, dv, lap: dv * dv),
+    "lap": (2, lambda s, v, dv, lap: lap * lap),
+    "schroedinger": (2, lambda s, v, dv, lap: (v * np.exp(-2.0 * s) - lap) ** 2),
+}
+
+
+def _squared(f: LogRadialFunction, kinds: tuple[str, ...]) -> dict[str, float]:
+    """Squared norms of the given kinds; each derivative is taken once, and
+    only if a requested kind needs it."""
+    f.grid.require_norm_grade()
+    s = f.grid.nodes
+    v = f.values
+    order = max(_INTEGRANDS[k][0] for k in kinds)
+    dv = f.derivative(1).values if order >= 1 else None
+    lap = f.derivative(2).values - 2.0 * dv if order >= 2 else None
+    out = {}
+    for k in kinds:
+        integrand = _INTEGRANDS[k][1](s, v, dv, lap)
+        val = integrate_samples(s, integrand)
+        if not math.isfinite(val):
+            bad = np.flatnonzero(~np.isfinite(integrand))
+            i = int(bad[0]) if bad.size else int(np.argmax(np.abs(integrand)))
+            raise IntegrandOverflowError(f"{k} integrand overflowed at s = {s[i]:.6g}",
+                                         s_offender=float(s[i]))
+        out[k] = max(TWO_PI2 * val, 0.0)
+    return out
+
+
 def norm(f: LogRadialFunction, kind: NormKind) -> float:
     """Norm of the radial function represented by f (nonnegative).
 
     H2_SUM is sqrt(L2^2 + GRAD^2 + LAP^2); the others integrate their 1D
     reduction with the spline-exact composite rule and take a square root.
+    Raises IntegrandOverflowError if an integral leaves floating range.
     """
     if kind is NormKind.H2_SUM:
-        return float(np.sqrt(norm(f, NormKind.L2) ** 2
-                             + norm(f, NormKind.GRAD) ** 2
-                             + norm(f, NormKind.LAP) ** 2))
-    f.grid.require_norm_grade()
-    s = f.grid.nodes
-    v = f.values
-    if kind is NormKind.L2:
-        integrand = np.exp(-4.0 * s) * v * v
-    elif kind is NormKind.GRAD:
-        dv = f.derivative(1).values
-        integrand = np.exp(-2.0 * s) * dv * dv
-    elif kind is NormKind.INVR_GRAD:
-        dv = f.derivative(1).values
-        integrand = dv * dv
-    elif kind is NormKind.LAP:
-        dv = f.derivative(1).values
-        d2v = f.derivative(2).values
-        w = d2v - 2.0 * dv
-        integrand = w * w
-    elif kind is NormKind.SCHROEDINGER:
-        dv = f.derivative(1).values
-        d2v = f.derivative(2).values
-        w = v * np.exp(-2.0 * s) - (d2v - 2.0 * dv)
-        integrand = w * w
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    if not np.all(np.isfinite(integrand)):
-        bad = int(np.argmax(~np.isfinite(integrand)))
-        raise IntegrandOverflowError(
-            f"{kind.value} integrand overflowed at s = {s[bad]:.6g}",
-            s_offender=float(s[bad]))
-    val = integrate_samples(s, integrand)
-    return float(np.sqrt(max(TWO_PI2 * val, 0.0)))
+        return math.sqrt(sum(_squared(f, ("l2", "grad", "lap")).values()))
+    return math.sqrt(_squared(f, (kind.value,))[kind.value])
 
 
 def norms_squared(f: LogRadialFunction) -> dict[str, float]:
     """L2/GRAD/INVR_GRAD/LAP squared norms in one pass (shared derivatives)."""
-    f.grid.require_norm_grade()
-    s = f.grid.nodes
-    v = f.values
-    dv = f.derivative(1).values
-    d2v = f.derivative(2).values
-    lap = d2v - 2.0 * dv
-    out = {
-        "l2": integrate_samples(s, np.exp(-4.0 * s) * v * v),
-        "grad": integrate_samples(s, np.exp(-2.0 * s) * dv * dv),
-        "invr_grad": integrate_samples(s, dv * dv),
-        "lap": integrate_samples(s, lap * lap),
-    }
-    return {k: max(TWO_PI2 * x, 0.0) for k, x in out.items()}
+    return _squared(f, ("l2", "grad", "invr_grad", "lap"))
 
 
 # --------------------------------------------------------------------------

@@ -67,14 +67,13 @@ class TmResult(NamedTuple):
 # the exponential-weight integral core
 # --------------------------------------------------------------------------
 
-def _refined_nodes(f: LogRadialFunction, coef: float) -> np.ndarray:
+def _refined_nodes(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Subdivide grid cells where the integrand's exponent moves fast.
 
-    The dominant exponent is g(s) = coef*v^2 - 4s; each cell is split so the
-    nodal variation of g per sub-cell is at most _REFINE_STEP (capped).
+    g holds the dominant exponent coef*v^2 - 4s at the nodes s; each cell is
+    split so the nodal variation of g per sub-cell is at most _REFINE_STEP
+    (capped).
     """
-    s = f.grid.nodes
-    g = coef * f.values ** 2 - 4.0 * s
     var = np.abs(np.diff(g))
     m = np.clip(np.ceil(var / _REFINE_STEP).astype(np.int64), 1, _MAX_SUBDIV)
     if np.all(m == 1):
@@ -85,6 +84,16 @@ def _refined_nodes(f: LogRadialFunction, coef: float) -> np.ndarray:
     frac = (np.arange(total) - head + 1.0) / np.repeat(m, m)
     pts = s[cell] + frac * (s[cell + 1] - s[cell])
     return np.concatenate([s[:1], pts])
+
+
+def _check_exponent(g: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise IntegrandOverflowError where the exponent g exceeds EXP_CAP."""
+    if np.any(g > EXP_CAP):
+        bad = int(np.argmax(g))
+        raise IntegrandOverflowError(
+            f"exponential integrand overflow (exponent {g[bad]:.3g} at "
+            f"s = {nodes[bad]:.6g}); enlarge lambda", s_offender=float(nodes[bad]))
+
 
 def exp_weighted_integral(f: LogRadialFunction, coef: float) -> float:
     """2 pi^2 int ( e^{coef * v(s)^2} - 1 ) e^{-4s} ds over the grid span.
@@ -97,14 +106,9 @@ def exp_weighted_integral(f: LogRadialFunction, coef: float) -> float:
     if coef == 0:
         return 0.0
     # cheap overflow pre-check on the base nodes before any refinement work
-    g0 = coef * f.values ** 2 - 4.0 * f.grid.nodes
-    if np.any(g0 > EXP_CAP):
-        bad = int(np.argmax(g0))
-        raise IntegrandOverflowError(
-            f"exponential integrand overflow (exponent {g0[bad]:.3g} at "
-            f"s = {f.grid.nodes[bad]:.6g}); enlarge lambda",
-            s_offender=float(f.grid.nodes[bad]))
-    nodes = _refined_nodes(f, coef)
+    g = coef * f.values ** 2 - 4.0 * f.grid.nodes
+    _check_exponent(g, f.grid.nodes)
+    nodes = _refined_nodes(f.grid.nodes, g)
     if nodes.size == f.grid.size:
         v = f.values
     else:
@@ -113,11 +117,7 @@ def exp_weighted_integral(f: LogRadialFunction, coef: float) -> float:
         v = f.spline()(nodes) if f.grid.size >= 4 else np.asarray(f.eval(nodes))
     x = coef * v * v
     g = x - 4.0 * nodes
-    if np.any(g > EXP_CAP):
-        bad = int(np.argmax(g))
-        raise IntegrandOverflowError(
-            f"exponential integrand overflow (exponent {g[bad]:.3g} at "
-            f"s = {nodes[bad]:.6g}); enlarge lambda", s_offender=float(nodes[bad]))
+    _check_exponent(g, nodes)
     integrand = np.empty_like(g)
     small = x < _SMALL_EXPONENT
     integrand[small] = np.expm1(x[small]) * np.exp(-4.0 * nodes[small])

@@ -39,7 +39,7 @@ def logradial_to_dict(f: LogRadialFunction) -> dict:
 def logradial_from_dict(d: dict) -> LogRadialFunction:
     try:
         meta = d.get("meta", {})
-        grid = LogGrid(np.asarray(d["grid_s"], dtype=float), policy="graded")
+        grid = LogGrid(np.asarray(d["grid_s"], dtype=float))
         return LogRadialFunction(grid, np.asarray(d["values"], dtype=float),
                                  name=str(meta.get("name", "")),
                                  closed_form=meta.get("closed_form"))
@@ -59,8 +59,6 @@ def profile_from_dict(d: dict) -> Profile:
         psi = np.asarray(d["psi"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"malformed profile JSON: missing {exc}") from exc
-    if s.size and s[0] < 0:
-        raise ValueError("profile JSON must carry s >= 0 only")
     return Profile(s, psi, tag="loaded")
 
 

@@ -19,6 +19,14 @@ def test_profile_L_values():
     assert abs(L.deriv_l2 - 1.0) <= 1e-9
 
 
+def test_profile_l2_exp_norm_closed_form():
+    # int_0^1 t^2 e^{-4t} dt + int_1^10 e^{-4t} dt; the kink of L at s = 1
+    # holds the spline rule to second order (1.3e-6 relative at 2049 nodes)
+    want = np.sqrt((1.0 - 13.0 * np.exp(-4.0)) / 32.0
+                   + (np.exp(-4.0) - np.exp(-40.0)) / 4.0)
+    assert abs(bb.profile_L().l2_exp_norm - want) <= 1e-5 * want
+
+
 def test_profile_orlicz_limit_of_L():
     L = bb.profile_L()
     want = 1.0 / np.sqrt(32.0 * PI2)
@@ -53,10 +61,21 @@ def test_profile_invariants():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        bb.Profile(np.array([-1.0, 0.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        bb.Profile(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="s >= 0"):
+        bb.Profile(np.array([-1.0, 0.0, 1.0, 2.0]), np.zeros(4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bb.Profile(np.array([0.0, 0.0, 1.0, 2.0]), np.zeros(4))
+
+
+def test_profile_needs_four_nodes():
+    # the cubic spline's floor: fewer nodes used to pass validation and then
+    # fail inside deriv_l2 with a bare IndexError
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            bb.Profile(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n))
+    psi = bb.Profile(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4))
+    assert abs(psi.deriv_l2 - 1.0) <= 1e-12
+    assert abs(float(psi.eval(0.5)) - 0.5) <= 1e-15
 
 
 # -------------------------------------------------------------- mollifiers --

@@ -272,6 +272,19 @@ def test_decompose_imputes_failed_detection():
     assert np.all(np.diff(alpha) >= 0)
 
 
+def test_decompose_interpolates_failed_detection():
+    fam = pure_L_family()
+    m1 = fam.members[1]
+    blank = LogRadialFunction(m1.grid, np.zeros_like(m1.values))
+    members = fam.members[:1] + [blank] + fam.members[2:]
+    res = decompose(SequenceFamily(fam.indices, members), CFG)
+    assert res.diagnostics["detect_failures"] == [[16]]
+    alpha = res.components[0][0].alpha
+    # log-log interpolation between 8 and 32 at 16, their midpoint in log n
+    assert abs(alpha[1] - np.sqrt(alpha[0] * alpha[2])) <= 1e-12 * alpha[1]
+    assert abs(alpha[1] - 16.0) <= 0.1
+
+
 def test_decompose_detection_exhausted():
     res = decompose(pure_L_family(), CFG, stop_frac=1e-4)
     assert len(res.components) == 1

@@ -151,7 +151,7 @@ def test_quad_weights_match_spline_integral(n, seed):
     y = rng.uniform(0.5, 2.0, n)
     want = CubicSpline(x, y, bc_type="not-a-knot").integrate(x[0], x[-1])
     # a grid's node array (cached weights) and an ad-hoc array (uncached)
-    for nodes in (LogGrid(x, policy="graded").nodes, x):
+    for nodes in (LogGrid(x).nodes, x):
         assert abs(integrate_samples(nodes, y) - want) <= 1e-12 * abs(want)
 
 

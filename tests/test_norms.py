@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from orlicz4d.corpus import corpus_functions
-from orlicz4d.gridfn import LogRadialFunction, sample_radial, uniform_grid
+from orlicz4d.gridfn import (IntegrandOverflowError, LogRadialFunction,
+                             sample_radial, uniform_grid)
 from orlicz4d.norms import (NormKind, check_radial_inequalities, norm,
                             norms_squared)
 from orlicz4d import bubbles as bb
@@ -89,3 +90,18 @@ def test_norm_requires_norm_grade_grid():
     f = LogRadialFunction(g, np.ones(5))
     with pytest.raises(ValueError):
         norm(f, NormKind.L2)
+
+
+def test_overflow_raises_in_every_entry_point():
+    # v^2 leaves floating range: numpy warns, and no norm may come back as
+    # inf (nor may an inequality report pass on inf norms)
+    f = gaussian_half().scaled(1e200)
+    for kind in NormKind:
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(IntegrandOverflowError) as info:
+            norm(f, kind)
+        assert info.value.s_offender in GRID.nodes
+    for check in (norms_squared, check_radial_inequalities):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(IntegrandOverflowError):
+            check(f)

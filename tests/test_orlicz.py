@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,55 @@ def test_root_find_gives_up_after_max_iter(monkeypatch):
     monkeypatch.setattr(orlicz, "orlicz_functional", lambda f, lam: 2.0)
     with pytest.raises(BracketExpansionError):
         orlicz_norm(bb.make_falpha(20.0), OrliczConfig(max_iter=8))
+
+
+def test_root_find_overflow_and_stray_secant(monkeypatch):
+    # log J convex in log lambda with slope <= -2 (as for a true J), crossing
+    # kappa = 1 at lambda = 3 on the unit-amplitude function; below about
+    # lambda = 2.8 it leaves floating range, which the search reads as J > kappa.
+    # Right of it the slope flattens towards -2, so a secant through two
+    # points there extrapolates past the crossing and out of the bracket.
+    x_star, tol = math.log(3.0), 1e-4
+    overflows, strays = [], []
+
+    def fake_J(f, lam):
+        d = math.log(lam) - x_star
+        try:
+            return math.exp(-2.0 * d + math.exp(-d / 0.01) - 1.0)
+        except OverflowError:
+            overflows.append(lam)
+            raise IntegrandOverflowError("exponent beyond the floating cap")
+
+    real_next = orlicz._next_point
+
+    def next_point(lo, hi, last, slope, width):
+        out = real_next(lo, hi, last, slope, width)
+        if last is not None and slope is not None \
+                and not lo < last[0] - last[1] / slope < hi:
+            strays.append(out)
+        return out
+
+    monkeypatch.setattr(orlicz, "orlicz_functional", fake_J)
+    monkeypatch.setattr(orlicz, "_next_point", next_point)
+    f = bb.make_falpha(20.0)
+    lam = orlicz_norm(f, OrliczConfig(lambda_tol=tol)) / float(np.max(np.abs(f.values)))
+    assert overflows and strays
+    assert strays == [None] * len(strays)
+    assert abs(lam - 3.0) <= tol * 3.0
+    assert fake_J(f, lam * (1 - tol / 2)) > 1.0 >= fake_J(f, lam * (1 + tol / 2))
+
+
+def test_overflow_between_nodes():
+    # a unit step: every nodal exponent stays below the cap (699 at s = 1,
+    # the first plateau node), but the spline overshoots past 1 just after
+    # the jump, where only the refined nodes see it
+    g = uniform_grid(0.0, 3.0, 16)
+    f = LogRadialFunction(g, np.where(g.nodes < 1.0, 0.0, 1.0))
+    coef = 699.0 + 4.0
+    assert np.max(coef * f.values ** 2 - 4.0 * g.nodes) < orlicz.EXP_CAP
+    with pytest.raises(IntegrandOverflowError) as info:
+        orlicz.exp_weighted_integral(f, coef)
+    assert 1.0 < info.value.s_offender < 1.2
 
 
 def test_overflow_signals_small_lambda():

@@ -12,6 +12,7 @@ from orlicz4d import bubbles as bb
 from orlicz4d import serialize as ser
 from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from orlicz4d.decompose import synthesize_family
+from orlicz4d.orlicz import tm_functional
 
 
 # -------------------------------------------------------------- round trips
@@ -35,8 +36,8 @@ def test_profile_roundtrip_and_schema():
 
 
 def test_profile_rejects_negative_s():
-    with pytest.raises(ValueError):
-        ser.profile_from_dict({"s": [-1.0, 0.0, 1.0], "psi": [0.0, 0.0, 1.0]})
+    with pytest.raises(ValueError, match="s >= 0"):
+        ser.profile_from_dict({"s": [-1.0, 0.0, 1.0, 2.0], "psi": [0.0, 0.0, 1.0, 1.0]})
 
 
 def test_family_roundtrip():
@@ -96,6 +97,51 @@ def test_cli_gen_bubble_deterministic(tmp_path):
     assert main(args + ["--out", str(p1)]) == EXIT_OK
     assert main(args + ["--out", str(p2)]) == EXIT_OK
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cli_tm_matches_functional(tmp_path):
+    fpath, out = tmp_path / "f.json", tmp_path / "tm.json"
+    assert main(["gen-falpha", "--alpha", "20", "--out", str(fpath)]) == EXIT_OK
+    beta = 16.0 * np.pi ** 2
+    assert main(["tm", "--in", str(fpath), "--beta", repr(beta),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out) as fh:
+        d = json.load(fh)
+    want = tm_functional(ser.logradial_from_dict(ser.read_json(str(fpath))), beta)
+    assert d == {"beta": beta, "value": ser.fmt_float(want.value),
+                 "l2_ratio": ser.fmt_float(want.l2_ratio)}
+
+
+def test_cli_gen_bubble_profiles(tmp_path):
+    # tent, cusp and a profile JSON file: each output is the bubble of that
+    # profile on the default bubble grid
+    ppath = tmp_path / "psi.json"
+    ser.write_json(str(ppath), ser.profile_to_dict(bb.profile_cusp(n=257)))
+    profiles = {"tent": bb.profile_tent(), "cusp": bb.profile_cusp(),
+                str(ppath): ser.profile_from_dict(ser.read_json(str(ppath)))}
+    for name, psi in profiles.items():
+        out = tmp_path / "b.json"
+        assert main(["gen-bubble", "--alpha", "24", "--profile", name,
+                     "--mollified", "false", "--out", str(out)]) == EXIT_OK
+        spec = bb.BubbleSpec(alpha=24.0, profile=psi, mollified=False)
+        want = bb.make_bubble(spec, grid=bb.bubble_grid(24.0))
+        assert out.read_text() == ser.dumps(ser.logradial_to_dict(want))
+
+
+def test_cli_gen_bubble_tiny_profile(tmp_path, capsys):
+    ppath = tmp_path / "psi.json"
+    ser.write_json(str(ppath), {"s": [0.0, 0.5, 1.0], "psi": [0.0, 0.5, 1.0]})
+    assert main(["gen-bubble", "--alpha", "24", "--profile", str(ppath),
+                 "--out", str(tmp_path / "b.json")]) == EXIT_VALIDATION
+    assert "at least 4 nodes" in capsys.readouterr().err
+
+
+def test_cli_lemma_add1_stdout(capsys):
+    assert main(["lemma-add1", "--alpha", "100"]) == EXIT_OK
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header == "alpha,r4_integral,r4_limit,r3_integral,r3_limit"
+    i4, i3 = bb.lemma_add1_integrals(100.0)
+    assert row.split(",") == ["100", f"{i4:.17g}", "0.2", f"{i3:.17g}", "0.5"]
 
 
 def test_cli_lemma_add1_csv(tmp_path):
