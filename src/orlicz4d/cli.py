@@ -23,7 +23,7 @@ from . import serialize as ser
 from .decompose import ScaleDetectionError, decompose
 from .gridfn import GridDomainError, IntegrandOverflowError
 from .norms import NormKind, norm
-from .orlicz import BracketExpansionError, OrliczConfig, orlicz_norm, tm_functional
+from .orlicz import BracketExpansionError, OrliczConfig, orlicz_norm_report, tm_functional
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -128,6 +128,9 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the library raises on non-finite integrals itself; numpy's overflow
+# warning would only print ahead of the "numerical failure" line
+@np.errstate(over="ignore")
 def run(args) -> int:
     if args.command == "gen-falpha":
         refine = max(_node_budget() / DEFAULT_BUDGET, 0.25)
@@ -147,8 +150,8 @@ def run(args) -> int:
 
     elif args.command == "orlicz":
         f = ser.logradial_from_dict(ser.read_json(args.infile))
-        val = orlicz_norm(f, _orlicz_config(args))
-        _emit({"kappa": args.kappa, "orlicz_norm": ser.fmt_float(val)}, args.out)
+        rep = orlicz_norm_report(f, _orlicz_config(args))
+        _emit({"kappa": args.kappa, **ser.norm_report_to_dict(rep)}, args.out)
 
     elif args.command == "tm":
         f = ser.logradial_from_dict(ser.read_json(args.infile))

@@ -178,8 +178,9 @@ def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
     y = np.linspace(0.0, y_cap, n_y)
 
     def snapshot(i: int) -> np.ndarray:
-        a = scales.alpha[i]
-        vals = np.asarray(family.members[i].eval(a * y), dtype=float)
+        a, member = scales.alpha[i], family.members[i]
+        # a * (s_max / a) can round one ulp past s_max
+        vals = np.asarray(member.eval(np.minimum(a * y, member.grid.s_max)), dtype=float)
         return np.sqrt(8.0 * np.pi ** 2 / a) * vals
 
     psi_last = snapshot(i_last)

@@ -170,7 +170,8 @@ class LogRadialFunction:
         return self._spline
 
     def eval(self, s) -> np.ndarray | float:
-        """Interpolated value(s); exact at nodes, error outside the span."""
+        """Interpolated value(s); exact at nodes, error outside the span.
+        Without a generator this is the spline, which needs 4 nodes."""
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < self.grid.s_min) or np.any(s_arr > self.grid.s_max):
             raise GridDomainError(
@@ -178,14 +179,9 @@ class LogRadialFunction:
         if self.generator is not None:
             out = np.asarray(self.generator(np.atleast_1d(s_arr)), dtype=float)
             return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-        if self.grid.size == 1:
-            out = np.full_like(np.atleast_1d(s_arr), self.values[0])
-        elif self.grid.size < 4:
-            out = np.interp(np.atleast_1d(s_arr), self.grid.nodes, self.values)
-        else:
-            out = self.spline()(np.atleast_1d(s_arr))
-        # snap to stored values at nodes so interpolation reproduces them bit-exactly
         flat = np.atleast_1d(s_arr)
+        out = self.spline()(flat)
+        # snap to stored values at nodes so interpolation reproduces them bit-exactly
         idx = np.searchsorted(self.grid.nodes, flat)
         idx = np.clip(idx, 0, self.grid.size - 1)
         hit = self.grid.nodes[idx] == flat

@@ -4,20 +4,20 @@ With phi(t) = e^{t^2} - 1 the Orlicz (Luxemburg-type) norm used here is
 
     ||u|| = inf { lambda > 0 :  int phi(|u|/lambda) dx <= kappa },
 
-where the conventional right-hand side 1 is replaced by the configurable
-constant kappa.  In log-radius coordinates the functional reads
+with a configurable kappa in place of the conventional 1.  In log-radius
+coordinates the functional reads
 
     J(lambda) = 2 pi^2  int ( e^{v(s)^2 / lambda^2} - 1 ) e^{-4s} ds,
 
-a continuous, nonincreasing function of lambda, so the norm is the unique
-crossing J(lambda) = kappa.  It is found by safeguarded secant steps on
-log J - log kappa in log lambda from a closed-form seed, and returned as the
-midpoint of a sign-certified bracket.
+nonincreasing in lambda, so the norm is the crossing J(lambda) = kappa,
+found by safeguarded secant steps on log J - log kappa in log lambda from a
+closed-form seed and returned as the midpoint of a sign-certified bracket.
 
-Exponents are handled in log form: the integrand is evaluated as
-exp(v^2/lambda^2 - 4s) - exp(-4s), cells are subdivided until the exponent
-varies slowly across each, and any exponent beyond the floating cap raises
-IntegrandOverflowError, which the root-find reads as J > kappa.
+Each J is the spline rule on the grid's own nodes (weights cached per grid)
+applied to exp(v^2/lambda^2 - 4s) - exp(-4s); a nodal exponent beyond the
+floating cap raises IntegrandOverflowError, which the search reads as
+J > kappa.  orlicz_norm_report estimates what the nodes miss, once, at the
+returned lambda.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .norms import TWO_PI2, NormKind, norm
 
 EXP_CAP = 700.0          # exp argument ceiling before declaring overflow
 _SMALL_EXPONENT = 45.0   # below this use expm1 for full relative accuracy
-_REFINE_STEP = 0.25      # target exponent variation per sub-cell
-_MAX_SUBDIV = 64
 
 
 @dataclass
@@ -63,67 +61,51 @@ class TmResult(NamedTuple):
     l2_ratio: float
 
 
-# --------------------------------------------------------------------------
-# the exponential-weight integral core
-# --------------------------------------------------------------------------
+class NormReport(NamedTuple):
+    """orlicz_norm_report's norm and relative error estimates of it."""
 
-def _refined_nodes(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Subdivide grid cells where the integrand's exponent moves fast.
+    lam: float
+    halving: float      # from halving every cell; inf if the grid is unresolved
+    tail: float         # from the ball |x| < e^{-s_max}, u held at v(s_max)
+    open_tail: bool     # v(s_min) != 0: an unbounded tail, not estimated
+    tol: float          # the lambda_tol the norm was computed to
 
-    g holds the dominant exponent coef*v^2 - 4s at the nodes s; each cell is
-    split so the nodal variation of g per sub-cell is at most _REFINE_STEP
-    (capped).
-    """
-    var = np.abs(np.diff(g))
-    m = np.clip(np.ceil(var / _REFINE_STEP).astype(np.int64), 1, _MAX_SUBDIV)
-    if np.all(m == 1):
-        return s
-    total = int(m.sum())
-    cell = np.repeat(np.arange(m.size), m)
-    head = np.repeat(np.cumsum(m) - m, m)
-    frac = (np.arange(total) - head + 1.0) / np.repeat(m, m)
-    pts = s[cell] + frac * (s[cell + 1] - s[cell])
-    return np.concatenate([s[:1], pts])
+    @property
+    def error(self) -> float:
+        return math.inf if self.open_tail else self.halving + self.tail
+
+    @property
+    def flagged(self) -> bool:
+        """The grid does not certify lam to the tolerance it was asked for."""
+        return not self.error <= self.tol
 
 
-def _check_exponent(g: np.ndarray, nodes: np.ndarray) -> None:
-    """Raise IntegrandOverflowError where the exponent g exceeds EXP_CAP."""
+def _integrand(nodes: np.ndarray, v: np.ndarray, coef: float) -> np.ndarray:
+    """(e^{coef v^2} - 1) e^{-4s}; overflow error where coef v^2 - 4s > EXP_CAP."""
+    x = coef * v * v
+    g = x - 4.0 * nodes
     if np.any(g > EXP_CAP):
         bad = int(np.argmax(g))
         raise IntegrandOverflowError(
             f"exponential integrand overflow (exponent {g[bad]:.3g} at "
             f"s = {nodes[bad]:.6g}); enlarge lambda", s_offender=float(nodes[bad]))
+    e4 = np.exp(-4.0 * nodes)
+    out = np.exp(g) - e4
+    small = x < _SMALL_EXPONENT
+    out[small] = np.expm1(x[small]) * e4[small]
+    return out
 
 
 def exp_weighted_integral(f: LogRadialFunction, coef: float) -> float:
-    """2 pi^2 int ( e^{coef * v(s)^2} - 1 ) e^{-4s} ds over the grid span.
-
-    Raises IntegrandOverflowError if the exponent coef*v^2 - 4s exceeds the
-    floating cap anywhere on the refined node set.
-    """
+    """2 pi^2 int ( e^{coef * v(s)^2} - 1 ) e^{-4s} ds over the grid span, by
+    the spline rule on the grid's own nodes (cached weights); raises
+    IntegrandOverflowError if an exponent coef v^2 - 4s exceeds EXP_CAP."""
     if coef < 0:
         raise ValueError("coefficient must be nonnegative")
     if coef == 0:
         return 0.0
-    # cheap overflow pre-check on the base nodes before any refinement work
-    g = coef * f.values ** 2 - 4.0 * f.grid.nodes
-    _check_exponent(g, f.grid.nodes)
-    nodes = _refined_nodes(f.grid.nodes, g)
-    if nodes.size == f.grid.size:
-        v = f.values
-    else:
-        # spline accuracy suffices for the functional; closed-form generators
-        # are reserved for extraction-grade evaluation
-        v = f.spline()(nodes) if f.grid.size >= 4 else np.asarray(f.eval(nodes))
-    x = coef * v * v
-    g = x - 4.0 * nodes
-    _check_exponent(g, nodes)
-    integrand = np.empty_like(g)
-    small = x < _SMALL_EXPONENT
-    integrand[small] = np.expm1(x[small]) * np.exp(-4.0 * nodes[small])
-    big = ~small
-    integrand[big] = np.exp(g[big]) - np.exp(-4.0 * nodes[big])
-    return TWO_PI2 * integrate_samples(nodes, integrand)
+    nodes = f.grid.nodes
+    return TWO_PI2 * integrate_samples(nodes, _integrand(nodes, f.values, coef))
 
 
 def orlicz_functional(f: LogRadialFunction, lam: float) -> float:
@@ -143,10 +125,6 @@ def tm_functional(f: LogRadialFunction, beta: float) -> TmResult:
     return TmResult(value=float(val), l2_ratio=float(ratio))
 
 
-# --------------------------------------------------------------------------
-# Luxemburg norm by a seeded, bracketed secant search
-# --------------------------------------------------------------------------
-
 def _log_excess(f: LogRadialFunction, x: float, kappa: float) -> float:
     """log J(e^x) - log kappa; overflow certifies J > kappa (+inf), and a
     nonpositive quadrature value certifies J < kappa (-inf)."""
@@ -158,13 +136,10 @@ def _log_excess(f: LogRadialFunction, x: float, kappa: float) -> float:
 
 
 def _seed(f: LogRadialFunction, kappa: float) -> tuple[float, float]:
-    """log lambda_0 and the slope guess d log J / d log lambda there.
-
-    Where J is dominated by one s, J ~ kappa means v(s)^2 / lambda^2 =
-    4s + log(kappa / 2 pi^2); lambda_0 is the largest such ratio (the
-    exponent floored at 1/2), and -2 v^2 / lambda_0^2 at its argmax is the
-    logarithmic slope of e^{v^2 / lambda^2} there.
-    """
+    """log lambda_0 and the slope guess d log J / d log lambda there: where
+    one s dominates, J ~ kappa at v(s)^2 / lambda^2 = 4s + log(kappa / 2 pi^2)
+    (floored at 1/2); lambda_0 is the largest such |v| / sqrt(...), with
+    slope -2 v^2 / lambda_0^2 at its argmax."""
     q = np.maximum(4.0 * f.grid.nodes + math.log(kappa / TWO_PI2), 0.5)
     ratio = np.abs(f.values) / np.sqrt(q)
     k = int(np.argmax(ratio))
@@ -174,17 +149,13 @@ def _seed(f: LogRadialFunction, kappa: float) -> tuple[float, float]:
 def orlicz_norm(f: LogRadialFunction, cfg: OrliczConfig | None = None) -> float:
     """The Luxemburg-type norm inf{lambda : J(lambda) <= kappa}.
 
-    The search runs on v / max|v| (the norm is 1-homogeneous), so neither
-    tiny nor huge amplitudes leave floating range.  F = log J - log kappa
-    is smooth in log lambda with slope <= -2 (as t e^t >= e^t - 1), so the
-    crossing is unique and secant steps converge fast.  The first step
-    starts from the closed-form seed with its slope guess; each step is
-    placed just past the estimated crossing, so the bracket closes in a few
-    evaluations.  A step with no estimate inside the bracket is replaced by
-    bisection or, before the crossing is bracketed, by doubling lambda.
-    The result is the midpoint of a bracket [lo, hi] with J(lo) > kappa >=
-    J(hi) and relative width <= cfg.lambda_tol / 4.  The zero function
-    gives 0.
+    The search runs on v / max|v| (the norm is 1-homogeneous), so no
+    amplitude leaves floating range.  F = log J - log kappa has slope <= -2
+    in log lambda (t e^t >= e^t - 1): the crossing is unique.  From the
+    closed-form seed, each secant step lands just past the estimated
+    crossing, or else bisects or doubles lambda outward.  The result is the
+    midpoint of [lo, hi], J(lo) > kappa >= J(hi), of relative width
+    <= cfg.lambda_tol / 4; the zero function gives 0.
     """
     cfg = cfg or OrliczConfig()
     vmax = float(np.max(np.abs(f.values)))
@@ -221,10 +192,8 @@ def orlicz_norm(f: LogRadialFunction, cfg: OrliczConfig | None = None) -> float:
 
 def _next_point(lo: float, hi: float, last: tuple[float, float] | None,
                 slope: float | None, width: float) -> float | None:
-    """The next log lambda: the secant estimate r of the crossing, moved
-    past it away from the nearer bracket end so that one more evaluation on
-    the far side can close the bracket; None without an estimate inside
-    (lo, hi)."""
+    """The secant estimate r of the crossing in (lo, hi), moved past it away
+    from the nearer end so one more evaluation can close the bracket; or None."""
     if last is None or slope is None:
         return None
     r = last[0] - last[1] / slope
@@ -235,3 +204,33 @@ def _next_point(lo: float, hi: float, last: tuple[float, float] | None,
     step = max(0.4 * width, 0.95 * width - near)
     return r + step if r - lo <= hi - r else r - step
 
+
+def orlicz_norm_report(f: LogRadialFunction,
+                       cfg: OrliczConfig | None = None) -> NormReport:
+    """orlicz_norm with its quadrature error estimated once, at the result:
+    the rule on every cell halved (midpoints from the generator if any, else
+    the spline of v) against the base rule, which is infinite if J moves by
+    more than a factor 2 or overflows, and the ball beyond s_max, which adds
+    2 pi^2 (e^{v(s_max)^2/lambda^2} - 1) e^{-4 s_max} / 4 to J.  Changes of
+    log J become relative errors of lambda through |d log J / d log lambda|."""
+    cfg = cfg or OrliczConfig()
+    lam = orlicz_norm(f, cfg)
+    halving = tail = 0.0
+    if lam > 0:
+        vmax = float(np.max(np.abs(f.values)))
+        unit, coef = f.scaled(1.0 / vmax), (vmax / lam) ** 2
+        s, v = unit.grid.nodes, unit.values
+        mid = 0.5 * (s[1:] + s[:-1])
+        v_mid = unit.generator(mid) if unit.generator is not None else unit.spline()(mid)
+        J = integrate_samples(s, _integrand(s, v, coef))
+        x = coef * v * v
+        slope = 2.0 * integrate_samples(s, x * np.exp(x - 4.0 * s)) / J
+        cut = np.arange(1, s.size)
+        fine_s, fine_v = np.insert(s, cut, mid), np.insert(v, cut, v_mid)
+        try:
+            ratio = integrate_samples(fine_s, _integrand(fine_s, fine_v, coef)) / J
+        except IntegrandOverflowError:
+            ratio = math.inf
+        halving = abs(math.log(ratio)) / slope if 0.5 <= ratio <= 2.0 else math.inf
+        tail = math.log1p(0.25 * float(_integrand(s[-1:], v[-1:], coef)[0]) / J) / slope
+    return NormReport(lam, halving, tail, bool(f.values[0] != 0.0), cfg.lambda_tol)

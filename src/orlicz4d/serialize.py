@@ -7,6 +7,7 @@ identical runs produce identical bytes and round-trips are lossless.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -15,6 +16,7 @@ from .bubbles import Profile
 from .concentration import ConcentrationReport
 from .decompose import DecompositionResult, SequenceFamily
 from .gridfn import LogGrid, LogRadialFunction
+from .orlicz import NormReport
 
 
 def fmt_float(x: float) -> float:
@@ -95,6 +97,15 @@ def result_to_dict(res: DecompositionResult) -> dict:
         "remainder": family_to_dict(res.remainder),
         "diagnostics": _jsonable(res.diagnostics),
     }
+
+
+def norm_report_to_dict(rep: NormReport) -> dict:
+    """The norm, its estimated relative errors (null where not estimable),
+    the unbounded-tail flag, and whether the estimate exceeds lambda_tol."""
+    est = lambda x: fmt_float(x) if math.isfinite(x) else None
+    return {"orlicz_norm": fmt_float(rep.lam), "halving_error": est(rep.halving),
+            "tail_error": est(rep.tail), "open_tail": rep.open_tail,
+            "flagged": rep.flagged}
 
 
 def concentration_to_dict(rep: ConcentrationReport) -> dict:

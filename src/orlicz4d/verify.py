@@ -3,7 +3,9 @@ numerically at desk scale, as machine-readable pass/fail rows.
 
 Each row carries the measured value, its target, the tolerance at which it
 is judged, and the provenance of the target (closed-form oracle, quadrature
-oracle, asymptotic limit, or property).  A suite passes iff all rows do.
+oracle, asymptotic limit, or property).  Rows whose value is an Orlicz norm
+also carry the norm's estimated quadrature error (orlicz_norm_report), in
+the value's units.  A suite passes iff all rows do.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .corpus import corpus_functions
 from .decompose import BubbleSpec, decompose, detect_scale, synthesize_family
 from .gridfn import LogRadialFunction
 from .norms import check_radial_inequalities, norms_squared
-from .orlicz import OrliczConfig, orlicz_norm
+from .orlicz import OrliczConfig, orlicz_norm_report
 
 PI2 = np.pi ** 2
 SQRT_6PI2 = np.sqrt(6.0 * PI2)      # 7.6952989...
@@ -34,11 +36,13 @@ class CheckRow:
     tolerance: float
     provenance: str
     passed: bool
+    estimate: float | None = None
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
+        est = "" if self.estimate is None else f" est={self.estimate:.3g}"
         return (f"[{flag}] {self.name}: value={self.value:.8g} "
-                f"target={self.target:.8g} tol={self.tolerance:.3g} ({self.provenance})")
+                f"target={self.target:.8g} tol={self.tolerance:.3g}{est} ({self.provenance})")
 
 
 @dataclass
@@ -53,11 +57,15 @@ class SuiteReport:
         return all(r.passed for r in self.rows)
 
     def add(self, name: str, value: float, target: float, tolerance: float,
-            provenance: str, passed: bool | None = None) -> None:
+            provenance: str, passed: bool | None = None,
+            estimate: float | None = None) -> None:
+        """By default a row passes if |value - target| plus the value's
+        estimated error is within the tolerance."""
         if passed is None:
-            passed = abs(value - target) <= tolerance
-        self.rows.append(CheckRow(name, float(value), float(target),
-                                  float(tolerance), provenance, bool(passed)))
+            passed = abs(value - target) + (estimate or 0.0) <= tolerance
+        self.rows.append(CheckRow(name, float(value), float(target), float(tolerance),
+                                  provenance, bool(passed),
+                                  None if estimate is None else float(estimate)))
 
     def to_dict(self) -> dict:
         # elapsed time stays out of artifacts: identical runs, identical bytes
@@ -67,6 +75,12 @@ class SuiteReport:
             "passed": self.passed,
             "checks": [vars(r) for r in self.rows],
         }
+
+
+def _norm(f: LogRadialFunction, cfg: OrliczConfig) -> tuple[float, float]:
+    """The Orlicz norm and its estimated absolute quadrature error."""
+    r = orlicz_norm_report(f, cfg)
+    return r.lam, r.lam * r.error
 
 
 # --------------------------------------------------------------------------
@@ -99,15 +113,18 @@ def suite_falpha(seed: int = 7) -> SuiteReport:
 
     errs = []
     for a in (25, 50, 100):
-        lam = orlicz_norm(bb.make_falpha(a), cfg)
+        lam, est = _norm(bb.make_falpha(a), cfg)
         errs.append(abs(lam - TARGET_LIMIT))
         bracket = 1.0 / np.sqrt(32 * PI2 + (8 * PI2 / a)
                                 * np.log(2 * cfg.kappa / PI2 + np.exp(-4 * a)))
-        rep.add(f"orlicz norm alpha={a}", lam, TARGET_LIMIT,
-                0.002 if a == 100 else 0.01, "asymptotic limit",
-                passed=(abs(lam - TARGET_LIMIT) <= 0.002 if a == 100 else True))
+        tol = 0.002 if a == 100 else 0.01
+        rep.add(f"orlicz norm alpha={a}", lam, TARGET_LIMIT, tol, "asymptotic limit",
+                passed=(abs(lam - TARGET_LIMIT) + est <= tol if a == 100 else est <= tol),
+                estimate=est)
+        # one-sided: the low end of lam's error interval must clear the bracket
         rep.add(f"orlicz bracket alpha={a}", lam ** 2, bracket ** 2, 0.0,
-                "closed-form bracket", passed=lam ** 2 >= bracket ** 2 * (1 - 1e-12))
+                "closed-form bracket", estimate=2.0 * lam * est,
+                passed=max(lam - est, 0.0) ** 2 >= bracket ** 2 * (1 - 1e-12))
     rep.add("orlicz error decreasing in alpha", errs[-1], errs[0], 0.0,
             "asymptotic limit", passed=errs[0] > errs[1] > errs[2])
 
@@ -196,25 +213,25 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
     L = bb.profile_L()
 
     errs = []
-    lam_g = lam_h = None
     for a in (50, 100, 200):
         g = bb.make_bubble(BubbleSpec(alpha=a, profile=L, mollifier=rho))
         h = bb.make_bubble(BubbleSpec(alpha=a, profile=L, mollifier=rho,
                                       mollified=False))
-        lam_g, lam_h = orlicz_norm(g, cfg), orlicz_norm(h, cfg)
+        (lam_g, est_g), (lam_h, est_h) = _norm(g, cfg), _norm(h, cfg)
         errs.append(abs(lam_g - TARGET_LIMIT) / TARGET_LIMIT)
         if a == 200:
             rep.add("bubble orlicz limit alpha=200", lam_g, TARGET_LIMIT,
-                    0.02 * TARGET_LIMIT, "asymptotic limit")
+                    0.02 * TARGET_LIMIT, "asymptotic limit", estimate=est_g)
             rep.add("pure vs mollified orlicz gap alpha=200",
-                    abs(lam_g - lam_h), 0.0, 0.01 * lam_g, "asymptotic limit")
+                    abs(lam_g - lam_h), 0.0, 0.01 * lam_g, "asymptotic limit",
+                    estimate=est_g + est_h)
     rep.add("bubble orlicz error decreasing", errs[-1], errs[0], 0.0,
             "asymptotic limit", passed=errs[0] > errs[1] > errs[2])
     g_alt = bb.make_bubble(BubbleSpec(alpha=200.0, profile=L,
                                       mollifier=bb.alternative_mollifier()))
-    rep.add("mollifier independence alpha=200",
-            abs(orlicz_norm(g_alt, cfg) - lam_g), 0.0, 0.01 * lam_g,
-            "asymptotic limit")
+    lam_alt, est_alt = _norm(g_alt, cfg)
+    rep.add("mollifier independence alpha=200", abs(lam_alt - lam_g), 0.0,
+            0.01 * lam_g, "asymptotic limit", estimate=est_alt + est_g)
 
     # profile and mollifier structural invariants
     rng = np.random.default_rng(seed)
@@ -236,14 +253,12 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
                                                   mollifier=rho),
                                        BubbleSpec(alpha=float(m * m), profile=cusp,
                                                   mollifier=rho)])
-    lam_sum = orlicz_norm(fam.members[-1], cfg)
-    l1 = orlicz_norm(bb.make_bubble(BubbleSpec(alpha=float(n), profile=tent,
-                                               mollifier=rho)), cfg)
-    l2 = orlicz_norm(bb.make_bubble(BubbleSpec(alpha=float(n * n), profile=cusp,
-                                               mollifier=rho)), cfg)
-    mx = max(l1, l2)
+    lam_sum, est_sum = _norm(fam.members[-1], cfg)
+    mx, est_mx = max(_norm(bb.make_bubble(spec), cfg) for spec in (
+        BubbleSpec(alpha=float(n), profile=tent, mollifier=rho),
+        BubbleSpec(alpha=float(n * n), profile=cusp, mollifier=rho)))
     rep.add("two-bubble sum orlicz vs max part (n=32)", lam_sum, mx, 0.05 * mx,
-            "asymptotic limit")
+            "asymptotic limit", estimate=est_sum + est_mx)
     rep.elapsed_s = time.time() - t0
     return rep
 
@@ -297,8 +312,11 @@ def suite_decomposition(seed: int = 7) -> SuiteReport:
         for j, resid in enumerate(res.ledger):
             rep.add(f"energy ledger residual, iteration {j}", resid, 0.0, 0.05,
                     "energy identity")
+        # A is the largest norm over the members estimate_A0 reads
+        k = (res.remainder.size + 1) // 2
+        est = max(_norm(m, cfg)[1] for m in res.remainder.members[-k:])
         rep.add("final orlicz mass", res.A_history[-1], 0.0, 0.1 * A0,
-                "stopping rule")
+                "stopping rule", estimate=est)
         tol = 1.0 + 2.0 * cfg.lambda_tol
         noninc = all(b <= a * tol for a, b in zip(res.A_history, res.A_history[1:]))
         rep.add("A history nonincreasing", float(noninc), 1.0, 0.0,

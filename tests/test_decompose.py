@@ -4,7 +4,8 @@ import pytest
 from orlicz4d import bubbles as bb
 from orlicz4d.corpus import corpus_functions
 from orlicz4d.decompose import (ScaleDetectionError, ScaleSeq, SequenceFamily,
-                                decompose, detect_scale, energy_ledger,
+                                _stabilized_snapshot, decompose,
+                                detect_scale, energy_ledger,
                                 estimate_A0, extract_profile,
                                 orthogonality_check, subtract_bubble,
                                 synthesize_family)
@@ -307,6 +308,41 @@ def test_decompose_scale_min_stop():
     assert res.components == []
     assert len(res.A_history) == 1
     assert res.diagnostics["events"] == ["detected scale 1.51 below scale_min=2"]
+
+
+def test_decompose_falpha_family():
+    # the paper's own sequence f_{alpha_n}, alpha_n = n: the profile snapshot
+    # samples s up to s_max / alpha * alpha, which rounds one ulp past the
+    # span of the n = 64 member (78 / 65.17... * 65.17... > 78)
+    fam = SequenceFamily(INDICES, [bb.make_falpha(float(n)) for n in INDICES])
+    res = decompose(fam, CFG)
+    assert len(res.components) == 1
+    assert abs(res.components[0][0].last() / 64.0 - 1.0) <= 0.05
+    assert res.diagnostics["events"][-1] == "detection exhausted"
+    assert res.A_history[-1] < res.A_history[0]
+
+
+def test_stabilized_snapshot_zero_profile():
+    y = np.linspace(0.0, 1.5, 65)
+    zero = np.zeros_like(y)
+    assert _stabilized_snapshot(y, zero, np.sin(y), 64, 32) is zero
+
+
+def test_stabilized_snapshot_linear_bridge_fallback():
+    # a localized disagreement near y = 0.05 fires the cleanup and the bump
+    # zone is spliced to a power law anchored just above it; the snapshot
+    # flips sign every 4 nodes there (period 8 nodes), so no log-slope can be
+    # read off and the bridge falls back to p = 1: linear through the origin
+    y = np.linspace(0.0, 1.5, 1537)
+    h = y[1] - y[0]
+    psi_last = np.where(y < 0.2, 0.3 * np.sin(np.pi * (y + 0.5 * h) / (4 * h)), 0.3)
+    bump = 0.15 * np.exp(-((y - 0.05) / 0.01) ** 2)
+    out = _stabilized_snapshot(y, psi_last, psi_last - bump, 64, 32)
+    below = (y > 0) & (y < 0.078)       # below the anchor at about 1.25 * 0.072
+    slope = out[below] / y[below]
+    np.testing.assert_allclose(slope, slope[0], rtol=1e-12)
+    assert slope[0] != 0.0
+    np.testing.assert_array_equal(out[y > 0.2], 0.3)
 
 
 def test_decompose_reports_tail_gate():

@@ -80,6 +80,15 @@ def test_eval_exponential_midpoint_error():
     assert errs[1200] <= 1e-9
 
 
+def test_eval_needs_four_nodes_without_generator():
+    # sampled data is interpolated by the not-a-knot spline only
+    f = from_radius_samples([np.exp(-2.0), np.exp(-1.0), 1.0], [10.0, 20.0, 30.0])
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        f.eval(0.5)
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        from_radius_samples([1.0], [3.0]).eval(0.0)
+
+
 def test_eval_outside_span_raises():
     g = uniform_grid(-1.0, 1.0, 16)
     f = LogRadialFunction(g, np.zeros(16))

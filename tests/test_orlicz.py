@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz4d import bubbles as bb
 from orlicz4d import orlicz
+from orlicz4d.corpus import corpus_functions
 from orlicz4d.gridfn import (IntegrandOverflowError, LogRadialFunction,
                              compose_segments, sample_radial, uniform_grid)
 from orlicz4d.norms import NormKind, norm
 from orlicz4d.orlicz import (BracketExpansionError, OrliczConfig,
-                             orlicz_functional, orlicz_norm, tm_functional)
+                             orlicz_functional, orlicz_norm, orlicz_norm_report,
+                             tm_functional)
 from orlicz4d.verify import two_bubble_family
 
 PI2 = np.pi ** 2
@@ -68,6 +72,23 @@ def test_functional_nonincreasing_in_lambda():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+MONOTONE_INPUTS = (corpus_functions(seed=5, count=6)
+                   + [bb.make_falpha(a) for a in (3.0, 20.0, 150.0)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(0, len(MONOTONE_INPUTS) - 1),
+       t1=st.floats(-0.7, 1.5), t2=st.floats(-0.7, 1.5))
+def test_functional_nonincreasing_property(k, t1, t2):
+    # every J is a fixed-weight dot product, and not-a-knot spline weights can
+    # be negative, so monotonicity in lambda is not automatic; lambdas range
+    # around the norm, where overflow stands for J = inf
+    f = MONOTONE_INPUTS[k]
+    lam = orlicz_norm(f)
+    lo, hi = sorted((lam * math.exp(t1), lam * math.exp(t2)))
+    assert _J(f, lo) >= _J(f, hi)
+
+
 def test_norm_homogeneity():
     # the extreme amplitudes underflow 1/lambda^2 or overflow v^2 unless the
     # search runs on v / max|v|
@@ -96,7 +117,6 @@ def _J(f, lam):
 def test_bracketing_certificate():
     # the returned lambda is the midpoint of a certified bracket of relative
     # width lambda_tol / 4, so J crosses kappa within lambda * lambda_tol / 8
-    from orlicz4d.corpus import corpus_functions
     for tol in (1e-4, 2e-4):
         cfg = OrliczConfig(lambda_tol=tol)
         for f in ([bb.make_falpha(a) for a in (20.0, 80.0)] + corpus_functions(seed=4, count=3)
@@ -178,17 +198,54 @@ def test_root_find_overflow_and_stray_secant(monkeypatch):
     assert fake_J(f, lam * (1 - tol / 2)) > 1.0 >= fake_J(f, lam * (1 + tol / 2))
 
 
-def test_overflow_between_nodes():
-    # a unit step: every nodal exponent stays below the cap (699 at s = 1,
-    # the first plateau node), but the spline overshoots past 1 just after
-    # the jump, where only the refined nodes see it
+def test_estimate_flags_overshoot_between_nodes():
+    # a unit step on 16 nodes: the spline overshoots past the jump, between
+    # the nodes the rule reads; the halved cells see it, and the estimate
+    # flags the input.  A smooth ramp on the same nodes halves 100x quieter.
     g = uniform_grid(0.0, 3.0, 16)
     f = LogRadialFunction(g, np.where(g.nodes < 1.0, 0.0, 1.0))
-    coef = 699.0 + 4.0
-    assert np.max(coef * f.values ** 2 - 4.0 * g.nodes) < orlicz.EXP_CAP
-    with pytest.raises(IntegrandOverflowError) as info:
-        orlicz.exp_weighted_integral(f, coef)
-    assert 1.0 < info.value.s_offender < 1.2
+    rep = orlicz_norm_report(f)
+    assert rep.lam == orlicz_norm(f)
+    assert rep.flagged and not rep.open_tail
+    assert rep.halving > 10 * rep.tail
+    smooth = orlicz_norm_report(LogRadialFunction(g, np.sin(np.pi * g.nodes / 6) ** 2))
+    assert rep.halving > 100 * smooth.halving
+
+
+def test_estimate_coarse_falpha_grids():
+    # f_20 on uniform grids over [-1.5, 44]: at 40 nodes the grid misses the
+    # concentration and the halved rule moves J by more than a factor 2; at
+    # 60 and 100 nodes the estimate is within 3x of the true error of lambda
+    cfg = OrliczConfig(lambda_tol=1e-6)
+    true = orlicz_norm(bb.make_falpha(20.0), cfg)
+    reports = {n: orlicz_norm_report(bb.make_falpha(20.0, grid=uniform_grid(-1.5, 44.0, n)),
+                                     cfg) for n in (40, 60, 100)}
+    assert reports[40].halving == math.inf and reports[40].flagged
+    for n in (60, 100):
+        err = abs(reports[n].lam - true) / true
+        assert err / 3 <= reports[n].error <= 3 * err
+
+
+def test_estimate_tail_past_s_max():
+    # the unit ball's step cut at s_max = 1 misses the ball |x| < e^{-1}
+    # (J grows by 2 pi^2 (e^{1/lambda^2} - 1) e^{-4} / 4): the tail term
+    # accounts for the gap to the closed-form norm
+    grid = compose_segments([(-1.2, 0.0, 1200), (0.0, 1.0, 1000)])
+    f = sample_radial(lambda r: np.where(r <= 1.0, 1.0, 0.0), grid, keep_generator=False)
+    rep = orlicz_norm_report(f, OrliczConfig(lambda_tol=1e-6))
+    gap = 1.0 / np.sqrt(np.log(1.0 + 2.0 / PI2)) / rep.lam - 1.0
+    assert rep.halving < 0.01 * rep.tail
+    assert gap <= rep.error <= 1.5 * gap
+
+
+def test_estimate_open_tail_and_zero():
+    # a Gaussian does not vanish at s_min: the tail past it is not estimated
+    g = uniform_grid(-1.0, 8.0, 64)
+    f = sample_radial(lambda r: np.exp(-r * r), g)
+    rep = orlicz_norm_report(f)
+    assert rep.open_tail and rep.error == math.inf and rep.flagged
+    zero = orlicz_norm_report(LogRadialFunction(g, np.zeros(64)))
+    assert zero == (0.0, 0.0, 0.0, False, 1e-4) and not zero.flagged
 
 
 def test_overflow_signals_small_lambda():
@@ -230,7 +287,6 @@ def test_tm_normalized_falpha_ratio_bounded():
 def test_soft_embedding_diagnostic_reported():
     # ||u||_orlicz <= ||u||_{H^2}/sqrt(32 pi^2) is convention-dependent;
     # report the worst ratio over a few functions without asserting it.
-    from orlicz4d.corpus import corpus_functions
     cfg = OrliczConfig(lambda_tol=1e-3)
     worst = 0.0
     for f in corpus_functions(seed=2, count=5):

@@ -9,10 +9,12 @@ import pytest
 
 import orlicz4d
 from orlicz4d import bubbles as bb
+from orlicz4d import gridfn
 from orlicz4d import serialize as ser
 from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from orlicz4d.decompose import synthesize_family
 from orlicz4d.orlicz import tm_functional
+from orlicz4d.verify import SuiteReport
 
 
 # -------------------------------------------------------------- round trips
@@ -74,8 +76,13 @@ def test_cli_gen_norm_orlicz_pipeline(tmp_path):
     opath = tmp_path / "orlicz.json"
     assert main(["orlicz", "--in", str(fpath), "--out", str(opath)]) == EXIT_OK
     with open(opath) as fh:
-        lam = json.load(fh)["orlicz_norm"]
-    assert 0.05 < lam < 0.07
+        d = json.load(fh)
+    assert list(d) == ["kappa", "orlicz_norm", "halving_error", "tail_error",
+                       "open_tail", "flagged"]
+    assert 0.05 < d["orlicz_norm"] < 0.07
+    # loaded data has no generator: the halved cells read the spline
+    assert 0.0 <= d["halving_error"] + d["tail_error"] <= 1e-6
+    assert d["open_tail"] is False and d["flagged"] is False
 
 
 def test_cli_zero_norm(tmp_path):
@@ -215,6 +222,40 @@ def test_cli_node_budget_read_per_run(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "b.json")]) == EXIT_VALIDATION
 
 
+def test_cli_three_node_input_is_validation_failure(tmp_path, capsys):
+    # sampled data is interpolated by the cubic spline only, which needs 4
+    # nodes: the orlicz estimate's midpoints and decompose's profile
+    # snapshots both reach it
+    f = gridfn.from_radius_samples([0.5, 0.2, 0.05], [1.0, 2.0, 3.0])
+    fpath = tmp_path / "tiny.json"
+    ser.write_json(str(fpath), ser.logradial_to_dict(f))
+    assert main(["orlicz", "--in", str(fpath)]) == EXIT_VALIDATION
+    member = {"meta": {"name": "m", "closed_form": None},
+              "grid_s": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 2.0]}
+    fam = tmp_path / "fam.json"
+    ser.write_json(str(fam), {"indices": [1, 2, 3], "members": [member] * 3, "meta": {}})
+    assert main(["decompose", "--in", str(fam), "--out",
+                 str(tmp_path / "r.json")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: cubic spline needs at least 4 nodes"] * 2
+
+
+def test_cli_overflow_prints_one_line(tmp_path):
+    # a fresh interpreter with default warning filters: numpy's overflow
+    # warning used to print ahead of the failure line
+    src = str(Path(orlicz4d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fpath = tmp_path / "big.json"
+    g = gridfn.uniform_grid(-1.0, 8.0, 64)
+    big = gridfn.sample_radial(lambda r: 1e200 * np.exp(-r * r), g, keep_generator=False)
+    ser.write_json(str(fpath), ser.logradial_to_dict(big))
+    proc = subprocess.run([sys.executable, "-m", "orlicz4d.cli", "norm", "--in", str(fpath),
+                           "--which", "H2_SUM"], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: ")
+
+
 def test_cli_numerical_failure(tmp_path):
     fpath = tmp_path / "f.json"
     main(["gen-falpha", "--alpha", "30", "--out", str(fpath)])
@@ -230,4 +271,18 @@ def test_cli_verify_artifact_deterministic(tmp_path):
                  "--out", str(p2)]) == EXIT_OK
     assert p1.read_bytes() == p2.read_bytes()
     with open(p1) as fh:
-        assert json.load(fh)["passed"] is True
+        d = json.load(fh)
+    assert d["passed"] is True
+    # every row whose value is an Orlicz norm carries its quadrature estimate
+    rows = [r for r in d["reports"][0]["checks"] if r["name"].startswith("orlicz norm")]
+    assert len(rows) == 3
+    assert all(0.0 <= r["estimate"] <= r["tolerance"] for r in rows)
+
+
+def test_verify_row_estimate_counts_against_tolerance():
+    rep = SuiteReport("demo", 0)
+    rep.add("inside", 1.0, 1.5, 0.6, "property", estimate=0.05)
+    rep.add("pushed out", 1.0, 1.5, 0.6, "property", estimate=0.2)
+    rep.add("no estimate", 1.0, 1.5, 0.6, "property")
+    assert [r.passed for r in rep.rows] == [True, False, True]
+    assert "est=0.05" in rep.rows[0].line() and "est=" not in rep.rows[2].line()
