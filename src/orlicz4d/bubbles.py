@@ -20,6 +20,7 @@ mollified  g(x) = sqrt(a/8pi^2) (psi * rho_a)(-log|x|/a)  with rho_a(s) = a rho(
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -350,19 +351,18 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 60) -> float:
 _GL_NODES, _GL_WEIGHTS = leggauss(96)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MollifierSpec:
-    """A positive smooth bump with support inside [-1, 1], unit mass.
+    """The bump exp(-1/(1 - u^2)), u = (t - center)/half_width, at unit mass.
 
-    ``support`` is the bump's actual carrier; quadrature nodes for the
-    normalization and for convolutions are placed on it, so narrow or
-    shifted bumps lose no accuracy.
+    ``support`` is the bump's carrier and must sit inside [-1, 1];
+    quadrature nodes for the normalization and for convolutions are placed
+    on it, so narrow or shifted bumps lose no accuracy.
     """
 
-    raw: Callable
+    center: float
+    half_width: float
     name: str = "bump"
-    support: tuple[float, float] = (-1.0, 1.0)
-    _z: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.support
@@ -370,19 +370,27 @@ class MollifierSpec:
             raise ValueError("mollifier support must sit inside [-1, 1]")
 
     @property
+    def support(self) -> tuple[float, float]:
+        return (self.center - self.half_width, self.center + self.half_width)
+
+    def raw(self, t) -> np.ndarray:
+        """The bump before normalization."""
+        t = np.asarray(t, dtype=float)
+        u = (t - self.center) / self.half_width
+        out = np.zeros_like(t)
+        m = np.abs(u) < 1
+        out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
+        return out
+
+    @cached_property
     def mass_constant(self) -> float:
-        if self._z is None:
-            lo, hi = self.support
-            z, _ = quad(lambda t: float(np.asarray(self.raw(np.array([t])))[0]),
-                        lo, hi, limit=400, epsabs=1e-14, epsrel=1e-13)
-            object.__setattr__(self, "_z", float(z))
-        return self._z
+        lo, hi = self.support
+        z, _ = quad(lambda t: float(self.raw(np.array([t]))[0]),
+                    lo, hi, limit=400, epsabs=1e-14, epsrel=1e-13)
+        return float(z)
 
     def values(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.where((t > self.support[0]) & (t < self.support[1]),
-                       self.raw(t), 0.0)
-        return out / self.mass_constant
+        return self.raw(t) / self.mass_constant
 
     def conv_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes/weights mapped onto the support."""
@@ -398,28 +406,13 @@ class MollifierSpec:
 
 
 def default_mollifier() -> MollifierSpec:
-    def raw(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1
-        out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-        return out
-
-    return MollifierSpec(raw, name="standard-bump")
+    return MollifierSpec(0.0, 1.0, name="standard-bump")
 
 
 def alternative_mollifier() -> MollifierSpec:
-    """A shifted asymmetric bump (support in [-0.7, 0.5]) for the
-    mollifier-independence checks."""
-    def raw(t):
-        t = np.asarray(t, dtype=float)
-        u = (2.0 * t + 0.2) / 1.2
-        out = np.zeros_like(t)
-        m = np.abs(u) < 1
-        out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-        return out
-
-    return MollifierSpec(raw, name="shifted-bump", support=(-0.7, 0.5))
+    """A shifted bump (support [-0.7, 0.5]) for the mollifier-independence
+    checks."""
+    return MollifierSpec(-0.1, 0.6, name="shifted-bump")
 
 
 def narrow_mollifier(width: float = 0.3) -> MollifierSpec:
@@ -432,17 +425,7 @@ def narrow_mollifier(width: float = 0.3) -> MollifierSpec:
     """
     if not 0 < width <= 1:
         raise ValueError("width must lie in (0, 1]")
-
-    def raw(t):
-        t = np.asarray(t, dtype=float)
-        u = t / width
-        out = np.zeros_like(t)
-        m = np.abs(u) < 1
-        out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-        return out
-
-    return MollifierSpec(raw, name=f"narrow-bump-{width:g}",
-                         support=(-width, width))
+    return MollifierSpec(0.0, width, name=f"narrow-bump-{width:g}")
 
 
 def mollified_profile_values(psi: Profile, alpha: float, rho: MollifierSpec, y):

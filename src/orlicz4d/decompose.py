@@ -26,6 +26,13 @@ from .norms import TWO_PI2, NormKind, norm
 from .orlicz import OrliczConfig, orlicz_norm
 
 _W_TIE_ULPS = 128.0
+_SCALE_MIN = 2.0       # a pursuit step needs a last-index scale at least this deep
+_Y_MAX = 1.5           # profile snapshots live on y in [0, _Y_MAX] ...
+_N_Y = 1537            # ... sampled at _N_Y equispaced nodes
+
+# subtraction mollifiers tried by decompose's first step, in order of
+# preference; built once so each normalizing quadrature runs once per process
+_RHO_CANDIDATES = (narrow_mollifier(), default_mollifier())
 
 
 class ScaleDetectionError(RuntimeError):
@@ -158,24 +165,21 @@ def _argmax_largest(W: np.ndarray, tie: float) -> int:
     return int(np.nonzero(W >= wmax - tie)[0][-1])
 
 
-def extract_profile(family: SequenceFamily, scales: ScaleSeq,
-                    y_max: float = 1.5, n_y: int = 1537) -> Profile:
+def extract_profile(family: SequenceFamily, scales: ScaleSeq) -> Profile:
     """Profile snapshot at the largest index on a fixed y-grid in [0, Y].
 
     psi_n(y) = sqrt(8 pi^2 / alpha_n) v_n(alpha_n y); the returned profile
     is psi at the last index with psi(y <= 0) forced to 0, carrying the
     stabilization diagnostic ||psi_{n_N} - psi_{n_{N-1}}||_{L2[0,Y]}.
     """
-    return _extract_pair(family, scales, family.size - 1, family.size - 2,
-                         y_max=y_max, n_y=n_y)
+    return _extract_pair(family, scales, family.size - 1, family.size - 2)
 
 
 def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
-                  i_prev: int, y_max: float = 1.5, n_y: int = 1537,
-                  stabilize: bool = False) -> Profile:
-    y_cap = min([y_max] + [family.members[i].grid.s_max / scales.alpha[i]
-                           for i in (i_last, i_prev)])
-    y = np.linspace(0.0, y_cap, n_y)
+                  i_prev: int, stabilize: bool = False) -> Profile:
+    y_cap = min([_Y_MAX] + [family.members[i].grid.s_max / scales.alpha[i]
+                            for i in (i_last, i_prev)])
+    y = np.linspace(0.0, y_cap, _N_Y)
 
     def snapshot(i: int) -> np.ndarray:
         a, member = scales.alpha[i], family.members[i]
@@ -263,14 +267,13 @@ def _stabilized_snapshot(y: np.ndarray, psi_last: np.ndarray, psi_prev: np.ndarr
 
 
 def subtract_bubble(family: SequenceFamily, scales: ScaleSeq, psi: Profile,
-                    rho: MollifierSpec | None = None,
-                    mollified: bool = True) -> SequenceFamily:
-    """Remainder family r_n = u_n - bubble(alpha_n, psi) on the member grids."""
-    rho = rho or default_mollifier()
+                    rho: MollifierSpec) -> SequenceFamily:
+    """Remainder family r_n = u_n - g_n on the member grids, where g_n is the
+    bubble of psi at scale alpha_n mollified by rho.  Members that carry a
+    generator get the remainder's generator too."""
     members = []
     for i, m in enumerate(family.members):
-        spec = BubbleSpec(alpha=float(scales.alpha[i]), profile=psi,
-                          mollifier=rho, mollified=mollified)
+        spec = BubbleSpec(alpha=float(scales.alpha[i]), profile=psi, mollifier=rho)
         vals = m.values - bubble_values(m.grid.nodes, spec)
         gen = None
         if m.generator is not None:
@@ -349,25 +352,17 @@ def synthesize_family(indices: list[int],
 # --------------------------------------------------------------------------
 
 def _impute_scales(indices: list[int], found: dict[int, float]) -> np.ndarray:
-    """Fill failed detections by log-log interpolation over the index values
+    """Fill failed detections by log-log interpolation over the index values,
+    extrapolating linearly from the two outermost detections on either side
     (at least two detections are required)."""
     li = np.log(np.asarray(indices, dtype=float))
     ks = sorted(found)
-    lx = np.log(np.asarray([indices[k] for k in ks], dtype=float))
-    ly = np.log(np.asarray([found[k] for k in ks], dtype=float))
-    out = np.empty(len(indices))
-    for j in range(len(indices)):
-        if j in found:
-            out[j] = found[j]
-        else:
-            slope_lo = (ly[1] - ly[0]) / (lx[1] - lx[0])
-            slope_hi = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
-            if li[j] <= lx[0]:
-                out[j] = np.exp(ly[0] + slope_lo * (li[j] - lx[0]))
-            elif li[j] >= lx[-1]:
-                out[j] = np.exp(ly[-1] + slope_hi * (li[j] - lx[-1]))
-            else:
-                out[j] = np.exp(np.interp(li[j], lx, ly))
+    lx, ly = li[ks], np.log([found[k] for k in ks])
+    out = np.exp(np.interp(li, lx, ly))
+    lo, hi = li < lx[0], li > lx[-1]
+    out[lo] = np.exp(ly[0] + (ly[1] - ly[0]) / (lx[1] - lx[0]) * (li[lo] - lx[0]))
+    out[hi] = np.exp(ly[-1] + (ly[-1] - ly[-2]) / (lx[-1] - lx[-2]) * (li[hi] - lx[-1]))
+    out[ks] = [found[k] for k in ks]
     return out
 
 
@@ -389,21 +384,23 @@ def _detect_family(family: SequenceFamily, A_ref: float) -> tuple[dict[int, floa
 
 def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
               stop_frac: float = 0.1, max_profiles: int = 5,
-              rho: MollifierSpec | None = None, mollified: bool = True,
-              scale_min: float = 2.0, y_max: float = 1.5) -> DecompositionResult:
+              rho: MollifierSpec | None = None) -> DecompositionResult:
     """Greedy pursuit: estimate A_0, then per step detect the scales, extract
-    the profile, subtract its bubble and re-estimate the Orlicz mass.
+    the profile, subtract its mollified bubble and re-estimate the Orlicz mass.
 
-    A step whose remainder has a larger mass (beyond the norm's
-    tolerance) is dropped and ends the pursuit, so the reported A-history is
+    The mollifier is asymptotically immaterial, but at finite n it decides
+    whether the mass reaches stop_frac * A_0.  Unless ``rho`` is given, the
+    first step subtracts with each shipped bump (narrow, then standard) and
+    keeps the remainder of least mass; the first bump stays unless another
+    beats it by more than the norm's resolution.  Later steps reuse the
+    kept bump.  A step whose remainder has a larger mass (beyond that
+    resolution) is dropped and ends the pursuit, so the reported A-history is
     nonincreasing and each ledger entry belongs to a kept component.
     Detection failures at individual indices are tolerated (subsequence
     surrogate): those scales are imputed log-linearly.
     """
     cfg = cfg or OrliczConfig()
-    rho_candidates = ([rho] if rho is not None
-                      else [narrow_mollifier(), default_mollifier()])
-    rho = rho_candidates[0]
+    rho_candidates = (rho,) if rho is not None else _RHO_CANDIDATES
     diagnostics: dict = {
         "tail_mass": {f"R=e^{k}": family.tail_mass(float(np.exp(k)))
                       for k in (1, 2, 3)},
@@ -433,36 +430,24 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         alpha, repaired = _monotone_repair(_impute_scales(family.indices, found))
         if repaired:
             events.append("scale sequence monotonized")
-        if alpha[-1] < scale_min:
-            events.append(f"detected scale {alpha[-1]:.3g} below scale_min={scale_min:g}")
+        if alpha[-1] < _SCALE_MIN:
+            events.append(f"detected scale {alpha[-1]:.3g} below scale_min={_SCALE_MIN:g}")
             break
         scales = ScaleSeq(alpha)
 
         ok = sorted(found)
-        psi = _extract_pair(working, scales, ok[-1], ok[-2], y_max=y_max,
-                            stabilize=True)
+        psi = _extract_pair(working, scales, ok[-1], ok[-2], stabilize=True)
         diagnostics["stabilization"].append(psi.stabilization)
 
-        if not comps and len(rho_candidates) > 1:
-            # mollifier choice is asymptotically immaterial; at finite n pick
-            # the shipped bump whose subtraction contracts the last member most,
-            # keeping the first candidate unless another beats it by more than
-            # the norm's resolution (scores can agree to 4 digits)
-            last = working.members[-1]
-            scores = []
-            for cand in rho_candidates:
-                spec = BubbleSpec(alpha=scales.last(), profile=psi,
-                                  mollifier=cand, mollified=mollified)
-                rem = LogRadialFunction(last.grid,
-                                        last.values - bubble_values(last.grid.nodes, spec))
-                scores.append(orlicz_norm(rem, cfg))
-            best = int(np.argmin(scores))
-            rho = rho_candidates[best if scores[best] * tol < scores[0] else 0]
-            events.append(f"subtraction mollifier: {rho.name} "
+        rems = [subtract_bubble(working, scales, psi, cand) for cand in rho_candidates]
+        scores = [estimate_A0(rem, cfg) for rem in rems]
+        best = int(np.argmin(scores))
+        pick = best if scores[best] * tol < scores[0] else 0
+        nxt, A_next = rems[pick], scores[pick]
+        if len(rho_candidates) > 1:
+            rho_candidates = (rho_candidates[pick],)
+            events.append(f"subtraction mollifier: {rho_candidates[0].name} "
                           + "(scores " + ", ".join(f"{s:.4g}" for s in scores) + ")")
-
-        nxt = subtract_bubble(working, scales, psi, rho, mollified)
-        A_next = estimate_A0(nxt, cfg)
         if A_next > A_hist[-1] * tol:
             events.append("pursuit not contracting")
             break

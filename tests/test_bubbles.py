@@ -90,6 +90,53 @@ def test_mollifier_invariants():
         assert abs(spec.mass_by_quad() - 1.0) <= 1e-12
 
 
+def _reference_bump(u_of_t):
+    # reference: the bump written out per mollifier, u(t) given as a formula
+    def raw(t):
+        t = np.asarray(t, dtype=float)
+        u = u_of_t(t)
+        out = np.zeros_like(t)
+        m = np.abs(u) < 1
+        out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
+        return out
+    return raw
+
+
+@pytest.mark.parametrize("spec, ref_raw, ref_support", [
+    (bb.default_mollifier(), _reference_bump(lambda t: t), (-1.0, 1.0)),
+    (bb.alternative_mollifier(), _reference_bump(lambda t: (2.0 * t + 0.2) / 1.2),
+     (-0.7, 0.5)),
+    (bb.narrow_mollifier(), _reference_bump(lambda t: t / 0.3), (-0.3, 0.3)),
+], ids=["standard", "shifted", "narrow"])
+def test_mollifier_matches_closure_formulas(spec, ref_raw, ref_support):
+    # the (center, half_width) bump reproduces the closure-built bumps bit
+    # for bit: raw values, normalization, values and convolution nodes
+    assert spec.support == ref_support
+    lo, hi = ref_support
+    t = np.concatenate([np.linspace(-1.2, 1.2, 2401),
+                        np.nextafter([lo, lo, hi, hi], [-2, 2, -2, 2])])
+    np.testing.assert_array_equal(spec.raw(t), ref_raw(t))
+    z = quad(lambda x: float(np.asarray(ref_raw(np.array([x])))[0]),
+             lo, hi, limit=400, epsabs=1e-14, epsrel=1e-13)[0]
+    assert spec.mass_constant == z
+    ref_values = np.where((t > lo) & (t < hi), ref_raw(t), 0.0) / z
+    np.testing.assert_array_equal(spec.values(t), ref_values)
+    gl_t, gl_w = np.polynomial.legendre.leggauss(96)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = mid + half * gl_t
+    weights = half * gl_w * (np.where((nodes > lo) & (nodes < hi), ref_raw(nodes), 0.0) / z)
+    got_nodes, got_weights = spec.conv_nodes()
+    np.testing.assert_array_equal(got_nodes, nodes)
+    np.testing.assert_array_equal(got_weights, weights)
+
+
+def test_mollifier_support_must_fit():
+    with pytest.raises(ValueError):
+        bb.MollifierSpec(0.5, 0.6)
+    with pytest.raises(ValueError):
+        bb.narrow_mollifier(1.5)
+
+
 def test_mollify_plateau_and_support():
     L = bb.profile_L()
     alpha = 25.0

@@ -4,7 +4,7 @@ import pytest
 from orlicz4d import bubbles as bb
 from orlicz4d.corpus import corpus_functions
 from orlicz4d.decompose import (ScaleDetectionError, ScaleSeq, SequenceFamily,
-                                _stabilized_snapshot, decompose,
+                                _impute_scales, _stabilized_snapshot, decompose,
                                 detect_scale, energy_ledger,
                                 estimate_A0, extract_profile,
                                 orthogonality_check, subtract_bubble,
@@ -135,7 +135,7 @@ def test_extract_derivative_mass_bound():
 def test_subtract_self_annihilates():
     fam = mollified_L_family([8, 16, 32])
     scales = ScaleSeq(np.array([8.0, 16.0, 32.0]))
-    rem = subtract_bubble(fam, scales, L, RHO, mollified=True)
+    rem = subtract_bubble(fam, scales, L, RHO)
     for m in rem.members:
         assert norm(m, NormKind.H2_SUM) <= 1e-8
 
@@ -143,7 +143,7 @@ def test_subtract_self_annihilates():
 def test_subtract_reveals_second_scale():
     fam = two_bubble_family([8, 16, 32])
     scales = ScaleSeq(np.array([64.0, 256.0, 1024.0]))
-    rem = subtract_bubble(fam, scales, CUSP, RHO, mollified=True)
+    rem = subtract_bubble(fam, scales, CUSP, RHO)
     A1 = estimate_A0(rem, CFG)
     got = detect_scale(rem.members[-1], A1)
     assert abs(got - 32.0) <= 0.5
@@ -154,7 +154,7 @@ def test_subtract_preserves_exterior_tail():
     members = corpus_functions(seed=9, count=3)
     fam = SequenceFamily([4, 8, 16], members)
     scales = ScaleSeq(np.array([4.0, 8.0, 16.0]))
-    rem = subtract_bubble(fam, scales, L, RHO, mollified=True)
+    rem = subtract_bubble(fam, scales, L, RHO)
     R = np.e * 1.0001
     before = fam.tail_mass(R)
     after = rem.tail_mass(R)
@@ -167,7 +167,7 @@ def test_subtract_preserves_exterior_tail():
 def test_ledger_single_bubble_family():
     fam = pure_L_family()
     scales = ScaleSeq(np.array([8.0, 16.0, 32.0, 64.0]))
-    rem = subtract_bubble(fam, scales, L, RHO, mollified=True)
+    rem = subtract_bubble(fam, scales, L, RHO)
     resid = energy_ledger(fam, rem, L)
     assert resid <= 0.05
     # the removed energy is ||L'||^2/4 = 1/4
@@ -209,7 +209,7 @@ def test_orthogonality_equal_scales():
 
 def test_decompose_single_bubble():
     res = decompose(mollified_L_family(), CFG)
-    # the standard bump wins the mollifier pick clearly (0.001883 vs 0.004329)
+    # the standard bump wins the mollifier pick clearly (0.001883 vs 0.007064)
     assert res.diagnostics["events"][0].startswith("subtraction mollifier: standard-bump")
     assert len(res.components) == 1
     assert res.A_history[-1] <= 0.1 * res.A_history[0]
@@ -239,6 +239,24 @@ def test_decompose_two_bubbles():
     tele = sum(0.25 * psi.deriv_l2 ** 2 for _, psi in res.components)
     budget = norm(fam.members[-1], NormKind.INVR_GRAD) ** 2
     assert tele <= budget * 1.05
+
+
+def test_decompose_needs_both_mollifiers():
+    # either bump alone misses the stopping rule on one family: the narrow
+    # bump leaves A = 0.00706 > 0.1 A_0 = 0.00567 on the mollified L family,
+    # the standard bump A = 0.00886 > 0.00662 on the two-bubble family
+    candidates = ["narrow-bump-0.3", "standard-bump"]   # the event's score order
+    for fam, forced, kept in ((mollified_L_family(), bb.narrow_mollifier(), "standard-bump"),
+                              (two_bubble_family(), RHO, "narrow-bump-0.3")):
+        A = decompose(fam, CFG, rho=forced).A_history
+        assert A[-1] > 0.1 * A[0]
+        res = decompose(fam, CFG)
+        assert res.A_history[-1] <= 0.1 * res.A_history[0]
+        event = res.diagnostics["events"][0]
+        assert event.startswith(f"subtraction mollifier: {kept} (scores ")
+        scores = event[event.index("(scores ") + 8:-1].split(", ")
+        # the kept score is the mass of the remainder the step keeps
+        assert scores[candidates.index(kept)] == f"{res.A_history[1]:.4g}"
 
 
 def test_decompose_zero_family():
@@ -284,6 +302,48 @@ def test_decompose_interpolates_failed_detection():
     # log-log interpolation between 8 and 32 at 16, their midpoint in log n
     assert abs(alpha[1] - np.sqrt(alpha[0] * alpha[2])) <= 1e-12 * alpha[1]
     assert abs(alpha[1] - 16.0) <= 0.1
+
+
+def test_impute_scales_branches():
+    # detections at n = 8, 16, 32 with alpha = 8, 16, 64: log-log slope 1
+    # below 16 and 2 above; n = 4 extrapolates on slope 1, n = 12 and 24
+    # interpolate, n = 64 and 128 extrapolate on slope 2
+    indices = [4, 8, 12, 16, 24, 32, 64, 128]
+    found = {1: 8.0, 3: 16.0, 5: 64.0}
+    out = _impute_scales(indices, found)
+    np.testing.assert_allclose(out, [4.0, 8.0, 12.0, 16.0, 36.0, 64.0, 256.0, 1024.0],
+                               rtol=1e-12)
+    assert [out[k] for k in found] == list(found.values())
+
+
+def _impute_scales_loop(indices, found):
+    # reference: the per-index loop the vectorized imputation replaces
+    li = np.log(np.asarray(indices, dtype=float))
+    ks = sorted(found)
+    lx = np.log(np.asarray([indices[k] for k in ks], dtype=float))
+    ly = np.log(np.asarray([found[k] for k in ks], dtype=float))
+    out = np.empty(len(indices))
+    for j in range(len(indices)):
+        if j in found:
+            out[j] = found[j]
+        elif li[j] <= lx[0]:
+            out[j] = np.exp(ly[0] + (ly[1] - ly[0]) / (lx[1] - lx[0]) * (li[j] - lx[0]))
+        elif li[j] >= lx[-1]:
+            out[j] = np.exp(ly[-1] + (ly[-1] - ly[-2]) / (lx[-1] - lx[-2]) * (li[j] - lx[-1]))
+        else:
+            out[j] = np.exp(np.interp(li[j], lx, ly))
+    return out
+
+
+def test_impute_scales_matches_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(3, 10))
+        indices = np.sort(rng.choice(np.arange(1, 500), n, replace=False)).tolist()
+        ks = rng.choice(n, int(rng.integers(2, n + 1)), replace=False).tolist()
+        found = {k: float(np.exp(rng.uniform(0.0, 6.0))) for k in ks}
+        np.testing.assert_array_equal(_impute_scales(indices, found),
+                                      _impute_scales_loop(indices, found))
 
 
 def test_decompose_detection_exhausted():
