@@ -157,6 +157,74 @@ def test_mollify_sup_distance_hoelder_bound():
     assert sup <= 0.01  # L is Lipschitz so the true rate is 1/alpha
 
 
+def _rule_sum(psi, alpha, rho, y):
+    # the 96-point rule summed point by point: the reference
+    t, w = rho.conv_nodes()
+    return psi.eval(y[:, None] - t / alpha) @ w
+
+
+def _moment_test_profiles():
+    rng = np.random.default_rng(11)
+    uniform = np.linspace(0.0, 1.5, 1537)
+    # cells log-uniform in [1e-8, 1e-2]: tiny cells beside wide ones
+    random_from_0 = np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-8, -2, 400)])
+    random_from_pos = 0.02 + np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-8, -2, 400)])
+    for s in (uniform, random_from_0, random_from_pos):
+        yield bb.Profile(s, np.sin(3.0 * s) + s, tag="smooth")
+        yield bb.Profile(s, rng.normal(size=s.size), tag="rough")
+
+
+def _row_classes(psi, alpha, rho, y):
+    # the rows' classes from their windows and the profile's pieces alone
+    t, _ = rho.conv_nodes()
+    lo, hi = y - t[-1] / alpha, y - t[0] / alpha
+    brk = np.r_[0.0, psi.s[1:]]
+    zero, tail = hi <= 0.0, lo > psi.span
+    touched = (brk[:-1] < hi[:, None]) & (brk[1:] >= lo[:, None])
+    narrow = (hi - lo)[:, None] > 2.0 * np.diff(brk)
+    fallback = ~zero & ~tail & np.any(touched & narrow, axis=1)
+    split = np.any((brk >= lo[:, None]) & (brk < hi[:, None]), axis=1)
+    rest = ~zero & ~tail & ~fallback
+    return {"zero": zero, "tail": tail, "fallback": fallback,
+            "one cell": rest & ~split, "split": rest & split}
+
+
+def test_mollified_moments_match_rule():
+    rng = np.random.default_rng(5)
+    mollifiers = (bb.default_mollifier(), bb.narrow_mollifier(),
+                  bb.alternative_mollifier(), bb.narrow_mollifier(0.01))
+    hits = dict.fromkeys(("zero", "tail", "one cell", "split", "fallback"), 0)
+    for psi in _moment_test_profiles():
+        s = psi.s
+        scale = np.max(np.abs(psi.eval(np.r_[s, 0.5 * (s[1:] + s[:-1]), 0.5 * s[0]])))
+        for alpha in (1.0, 8.0, 64.0, 1024.0, 2e4):
+            for rho in mollifiers:
+                t, _ = rho.conv_nodes()
+                # rows whose rule arguments land exactly on a knot, on 0 and
+                # on the span, besides random points in and beyond the span
+                on_knots = rng.choice(s, 40) + rng.choice(t, 40) / alpha
+                y = np.r_[rng.uniform(-0.05, psi.span + 0.05, 400), s[::7], on_knots,
+                          t / alpha, psi.span + t / alpha, 0.0, psi.span,
+                          -1.0, psi.span + 1.0]
+                got = bb.mollified_profile_values(psi, alpha, rho, y)
+                want = _rule_sum(psi, alpha, rho, y)
+                np.testing.assert_allclose(got, want, rtol=0, atol=2e-12 * scale)
+                classes = _row_classes(psi, alpha, rho, y)
+                assert np.all(got[classes["zero"]] == 0.0)
+                for name, rows in classes.items():
+                    hits[name] += int(np.count_nonzero(rows))
+    assert all(hits.values()), hits
+
+
+def test_mollified_closed_form_profile_keeps_rule():
+    # a profile with a closed form sums the rule itself, bit for bit
+    L = bb.profile_L()
+    y = np.linspace(-0.2, 12.0, 1001)
+    for rho in (bb.default_mollifier(), bb.narrow_mollifier()):
+        np.testing.assert_array_equal(bb.mollified_profile_values(L, 7.0, rho, y),
+                                      _rule_sum(L, 7.0, rho, y))
+
+
 # --------------------------------------------------------------- eta piece --
 
 def test_eta_boundary_data():

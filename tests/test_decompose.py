@@ -259,6 +259,28 @@ def test_decompose_needs_both_mollifiers():
         assert scores[candidates.index(kept)] == f"{res.A_history[1]:.4g}"
 
 
+def test_decompose_same_numbers_as_rule(monkeypatch):
+    # the moment form of the mollified convolution changes no decision and
+    # moves the numbers only by rounding, against the 96-point rule summed
+    # point by point
+    def rule_sum(psi, alpha, rho, y):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        t, w = rho.conv_nodes()
+        return psi.eval(y[:, None] - t / alpha) @ w
+
+    for make in (two_bubble_family, mollified_L_family):
+        got = decompose(make(), CFG)
+        with monkeypatch.context() as mp:
+            mp.setattr(bb, "mollified_profile_values", rule_sum)
+            want = decompose(make(), CFG)
+        assert len(got.components) == len(want.components) > 0
+        for (sg, _), (sw, _) in zip(got.components, want.components):
+            np.testing.assert_array_equal(sg.alpha, sw.alpha)
+        assert got.diagnostics["events"] == want.diagnostics["events"]
+        np.testing.assert_allclose(got.A_history, want.A_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.ledger, want.ledger, rtol=1e-10, atol=0)
+
+
 def test_decompose_zero_family():
     res = decompose(zero_family(), CFG)
     assert res.components == []
