@@ -212,6 +212,22 @@ class Profile:
     def span(self) -> float:
         return self._f.grid.s_max
 
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(knots, coef), read-only: piece q >= 1 is sum_k coef[k, q] (x - knots[q])^k
+        on (knots[q], knots[q+1]]: the spline's cubics (the first re-expanded about
+        0, down to which it extends), then values[-1] past the span; piece 0 is 0."""
+        s, n = self.s, self.s.size
+        coef = np.zeros((4, n + 1))
+        coef[:, 1:n] = self._f.spline().c[::-1]
+        d, (c0, c1, c2, c3) = -s[0], coef[:, 1]
+        coef[:, 1] = (((c3 * d + c2) * d + c1) * d + c0, (3.0 * c3 * d + 2.0 * c2) * d + c1,
+                      3.0 * c3 * d + c2, c3)
+        coef[0, n] = self.values[-1]
+        knots = np.concatenate(([0.0, 0.0], s[1:]))
+        knots.flags.writeable = coef.flags.writeable = False
+        return knots, coef
+
     def eval(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape if y.ndim else (1,))
@@ -349,6 +365,7 @@ def _golden_min(fun, lo: float, hi: float, iters: int = 60) -> float:
 # --------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(96)
+_PAIR_BLOCK = 4096     # (row, piece) pairs per block in mollified_profile_values
 
 
 @dataclass(frozen=True)
@@ -394,24 +411,20 @@ class MollifierSpec:
 
     @cached_property
     def conv_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The convolution rule: Gauss-Legendre nodes t (ascending) mapped
-        onto the support, weights w with rho folded in, and prefix moments
-        M[k, j] = sum_{i<j} w_i t_i^k for k = 0..3.  Read-only, since every
-        caller shares them."""
+        """The convolution rule: Gauss-Legendre nodes t (ascending) mapped onto
+        the support, weights w with rho folded in, and the 4 x 97 x 97 anchored
+        moments S[k, a, b] = sum_{a<=i<b} w_i (t_i - t_a)^k (k <= 3; zero unless
+        a < b).  Read-only, since every caller shares them."""
         lo, hi = self.support
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         t = mid + half * _GL_NODES
         w = half * _GL_WEIGHTS * self.values(t)
-        moments = np.zeros((4, t.size + 1))
-        moments[:, 1:] = np.cumsum(w * t ** np.arange(4)[:, None], axis=1)
+        terms = np.triu(w * (t - t[:, None]) ** np.arange(4)[:, None, None])  # [k, a, i]
+        moments = np.zeros((4, t.size + 1, t.size + 1))
+        moments[:, :-1, 1:] = np.cumsum(terms, axis=2)
         for a in (t, w, moments):
             a.flags.writeable = False
         return t, w, moments
-
-    def conv_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes/weights mapped onto the support."""
-        t, w, _ = self.conv_rule
-        return t, w
 
     def mass_by_quad(self) -> float:
         return quad(lambda t: float(self.values(np.array([t]))[0]),
@@ -445,73 +458,84 @@ def mollified_profile_values(psi: Profile, alpha: float, rho: MollifierSpec, y):
     """(psi * rho_alpha)(y) = int psi(y - t/alpha) rho(t) dt by Gauss-Legendre.
 
     A profile with a closed form sums the 96-point rule (t_i, w_i) directly.
-    A sampled profile is piecewise cubic in x = y - t/alpha: 0 for x <= 0,
-    the spline's cubic on each cell, values[-1] past the span.  On a cubic
-    piece p the rule's sum is exactly a short Taylor sum at y,
+    A sampled profile is piecewise cubic in x = y - t/alpha (``Profile.pieces``).
+    The nodes a <= i < b of a row that land on one piece p are summed exactly
+    from the anchored moments S of ``MollifierSpec.conv_rule``, by a Taylor
+    sum about the first of them, x_a = y - t_a/alpha:
 
-        sum_i w_i p(y - t_i/alpha) = sum_{k<=3} p^(k)(y)/k! (-1/alpha)^k sum_i w_i t_i^k,
+        sum_i w_i p(x_a - (t_i - t_a)/alpha) = sum_k p^(k)(x_a)/k! (-1/alpha)^k S[k, a, b].
 
-    so a row needs, per piece its window [y - t_max/alpha, y - t_min/alpha]
-    touches, only the prefix moments (``MollifierSpec.conv_rule``) of the
-    nodes that land there.  The Taylor terms can cancel when y lies many cell
-    widths from a piece, so this form is used only where the window is at
-    most twice as wide as every cell it touches (the terms then stay within
-    about 27x the result); every other row sums the rule directly.
+    x_a and every x_a - (t_i - t_a)/alpha lie on p, so no term outgrows p on
+    its own piece at any window width: no row needs a width guard or the rule
+    itself.  A row whose window lies on one piece is a cubic in y.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     t, w, moments = rho.conv_rule
-    ta = t / alpha
+    ta, nt = t / alpha, t.size
     if psi.fn is not None:
         return psi.eval(y[:, None] - ta[None, :]) @ w
 
-    spline = psi._f.spline()
-    s, n = psi.s, psi.s.size
-    # piece q is (brk[q-1], brk[q]]: q = 0 is zero, q = n the constant tail,
-    # q in 1..n-1 the cubic of spline cell q-1 (the first extends down to 0)
-    brk = np.r_[0.0, s[1:]]
-    width = np.diff(brk)
+    order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else slice(None)
+    y = y[order]
+    knots, coef = psi.pieces
+    # in e = alpha (knots[q] - x), the Taylor sums need no powers of -1/alpha
+    coef = coef * ((-1.0 / alpha) ** np.arange(4))[:, None]
+    # rows in order: zero (window at or below 0), live [z, e), tail (past the span)
     x_lo, x_hi = y - ta[-1], y - ta[0]
-    q_lo, q_hi = np.searchsorted(brk, x_lo), np.searchsorted(brk, x_hi)
-    # 5+ pieces put 3 whole cells inside the window, one of them narrower
-    # than half of it: such rows cannot pass the width guard below
-    ok = q_hi - q_lo <= 3
-    win = x_hi - x_lo
-    for m in range(4):
-        q = q_lo + m
-        cubic = (q <= q_hi) & (q >= 1) & (q <= n - 1)
-        ok &= ~cubic | (win <= 2.0 * width[np.clip(q - 1, 0, n - 2)])
-    out = np.empty_like(y)
-    out[~ok] = psi.eval(y[~ok, None] - ta[None, :]) @ w
+    z, e = np.searchsorted(x_hi, 0.0, "right"), np.searchsorted(x_lo, psi.span, "right")
+    out = np.full_like(y, psi.values[-1] * moments[0, 0, nt])
+    out[:z] = 0.0
+    yl, live = y[z:e], out[z:e]
+    ql, qh = _pieces(knots[1:], x_lo[z:e]), _pieces(knots[1:], x_hi[z:e])
 
-    rows = np.nonzero(ok)[0]
-    yr, lo_q, hi_q = y[rows], q_lo[rows], q_hi[rows]
-    acc = np.zeros(rows.size)
-    stop = np.full(rows.size, t.size)  # nodes [start, stop) land in piece q
-    u = -1.0 / alpha
-    for m in range(int(np.max(hi_q - lo_q, initial=0)) + 1):
-        sel = np.nonzero(lo_q + m <= hi_q)[0]
-        q, ys = lo_q[sel] + m, yr[sel]
-        start = np.zeros(sel.size, dtype=np.intp)
-        inner = q < hi_q[sel]
-        # nodes whose argument y - ta_i exceeds the knot; at the knot 0, where
-        # the profile may jump, this is exact (fl(y - ta_i) > 0 iff y > ta_i),
-        # elsewhere the pieces agree at the knot to rounding
-        start[inner] = np.searchsorted(ta, ys[inner] - brk[q[inner]])
-        mom = moments[:, stop[sel]] - moments[:, start]
-        stop[sel] = start
-        last = q == n
-        acc[sel[last]] += psi.values[-1] * mom[0, last]
-        cub = (q >= 1) & ~last
-        k = q[cub] - 1
-        d = ys[cub] - s[k]
-        a3, a2, a1, a0 = spline.c[:, k]
-        p0 = ((a3 * d + a2) * d + a1) * d + a0
-        p1 = (3.0 * a3 * d + 2.0 * a2) * d + a1
-        p2 = 3.0 * a3 * d + a2
-        mc = mom[:, cub]
-        acc[sel[cub]] += p0 * mc[0] + u * (p1 * mc[1] + u * (p2 * mc[2] + u * a3 * mc[3]))
-    out[rows] = acc
+    one = ql == qh
+    q = ql[one]
+    m0, m1, m2, m3 = moments[:, 0, nt]
+    taylor = [[m0, m1, m2, m3], [0.0, m0, 2.0 * m1, 3.0 * m2], [0.0, 0.0, m0, 3.0 * m1],
+              [0.0, 0.0, 0.0, m0]]
+    k0, k1, k2, k3 = np.take(np.einsum("jk,kq->jq", taylor, coef), q, axis=1)
+    ev = t[0] + alpha * (knots[q] - yl[one])
+    live[one] = ((k3 * ev + k2) * ev + k1) * ev + k0
+
+    # the other rows: one (row, piece) pair per piece, rows in order and
+    # pieces descending, so a pair's nodes [a, b) start where the last one's
+    # end; in blocks of about _PAIR_BLOCK pairs, to keep temporaries small
+    many = np.nonzero(~one)[0]
+    cnt = qh[many] - ql[many] + 1
+    cuts = np.searchsorted(np.cumsum(cnt), np.arange(_PAIR_BLOCK, cnt.sum(), _PAIR_BLOCK))
+    for rows, c in zip(np.split(many, cuts), np.split(cnt, cuts)):
+        if not rows.size:   # a row with more pieces than a block
+            continue
+        ends = np.cumsum(c)
+        first = ends - c
+        q = np.repeat(qh[rows] + first, c) - np.arange(ends[-1])
+        key = np.repeat(yl[rows], c) - knots[q]
+        # nodes with y - ta_i above the piece's lower knot: exact at the knot
+        # 0, where psi may jump (fl(y - ta_i) > 0 iff y > ta_i); elsewhere the
+        # pieces agree there to rounding.  A row's last piece takes the rest.
+        b = np.searchsorted(ta, key)
+        b[ends - 1] = nt
+        a = np.concatenate(([0], b[:-1]))
+        a[first] = 0
+        ev = np.take(t, a, mode="clip") - alpha * key
+        p0, p1, p2, p3 = np.take(coef, q, axis=1)
+        s0, s1, s2, s3 = np.take(moments.reshape(4, -1), a * (nt + 1) + b, axis=1)
+        # E_k = sum_i w_i (ev + t_i - t_a)^k over the pair's nodes
+        e1 = ev * s0 + s1
+        e2 = ev * (e1 + s1) + s2
+        e3 = ev * (e2 + ev * s1 + 2.0 * s2) + s3
+        live[rows] = np.add.reduceat(p0 * s0 + p1 * e1 + p2 * e2 + p3 * e3, first)
+    out[order] = out.copy()
     return out
+
+
+def _pieces(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """searchsorted(knots, x) for ascending x; if x is longer, by a merge:
+    O(knots log x + x), under half searchsorted's time on 18,753 x, 1,537 knots."""
+    if x.size <= knots.size:
+        return np.searchsorted(knots, x)
+    hits = np.searchsorted(x, knots, "right")
+    return np.cumsum(np.bincount(hits, minlength=x.size + 1))[:-1]
 
 
 @dataclass

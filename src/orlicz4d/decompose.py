@@ -115,11 +115,15 @@ class DecompositionResult:
 # the operations
 # --------------------------------------------------------------------------
 
+def a0_window(family: SequenceFamily) -> range:
+    """Positions of the members estimate_A0 reads: the last ceil(N/2)."""
+    return range(family.size // 2, family.size)
+
+
 def estimate_A0(family: SequenceFamily, cfg: OrliczConfig | None = None) -> float:
-    """limsup surrogate: max Orlicz norm over the last ceil(N/2) indices."""
+    """limsup surrogate: max Orlicz norm over the members of a0_window."""
     cfg = cfg or OrliczConfig()
-    k = (family.size + 1) // 2
-    return max(orlicz_norm(m, cfg) for m in family.members[-k:])
+    return max(orlicz_norm(family.members[i], cfg) for i in a0_window(family))
 
 
 def detect_scale(member: LogRadialFunction, A0: float) -> float:
@@ -132,24 +136,23 @@ def detect_scale(member: LogRadialFunction, A0: float) -> float:
     """
     if not A0 > 0:
         raise ValueError("A0 must be positive")
-    s = member.grid.nodes
-    w = member.values / A0
-    sel = s >= 0.0
-    if np.count_nonzero(sel) < 3:
+    s, v = member.grid.nodes, member.values
+    i0 = int(np.searchsorted(s, 0.0))       # the nodes s >= 0 are s[i0:]
+    if s.size - i0 < 3:
         raise ScaleDetectionError("grid carries no s >= 0 region")
-    s0 = s[sel]
-    W = 4.0 * w[sel] ** 2 - 3.0 * s0
+    s0 = s[i0:]
+    W = 4.0 * (v[i0:] / A0) ** 2 - 3.0 * s0
     tie = _W_TIE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(W))))
     k = _argmax_largest(W, tie)
     if W[k] <= W[0] + tie:
         raise ScaleDetectionError(
             "W(s) <= W(0) everywhere: A0 overestimated or member compact")
 
-    # deterministic lattice polish inside the bracketing cells
-    ratio_spline = CubicSpline(s, w, bc_type="not-a-knot")
-    lo = s0[max(k - 1, 0)]
-    hi = s0[min(k + 1, s0.size - 1)]
-    best = s0[k]
+    # deterministic lattice polish inside the bracketing cells, on the spline
+    # through nearby nodes (data 40 nodes away moves it far below rounding)
+    near = slice(max(i0 + k - 40, 0), i0 + k + 41)
+    ratio_spline = CubicSpline(s[near], v[near] / A0, bc_type="not-a-knot")
+    lo, hi = s0[max(k - 1, 0)], s0[min(k + 1, s0.size - 1)]
     for _ in range(2):
         lattice = np.linspace(lo, hi, 129)
         Wl = 4.0 * ratio_spline(lattice) ** 2 - 3.0 * lattice
@@ -191,13 +194,14 @@ def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
     psi_prev = snapshot(i_prev)
     psi_last[0] = 0.0
     diff = psi_last - psi_prev
-    delta = float(np.sqrt(max(integrate_samples(y, diff * diff), 0.0)))
     values = psi_last
     if stabilize:
         values = _stabilized_snapshot(y, psi_last, psi_prev,
                                       family.indices[i_last], family.indices[i_prev])
         values[0] = 0.0
-    return Profile(y, values, tag="extracted", stabilization=delta)
+    psi = Profile(y, values, tag="extracted")   # its grid's weights serve deriv_l2 too
+    psi.stabilization = float(np.sqrt(max(integrate_samples(psi.s, diff * diff), 0.0)))
+    return psi
 
 
 _STAB_GATE = 0.02      # relative plateau disagreement that triggers cleanup
@@ -267,12 +271,13 @@ def _stabilized_snapshot(y: np.ndarray, psi_last: np.ndarray, psi_prev: np.ndarr
 
 
 def subtract_bubble(family: SequenceFamily, scales: ScaleSeq, psi: Profile,
-                    rho: MollifierSpec) -> SequenceFamily:
-    """Remainder family r_n = u_n - g_n on the member grids, where g_n is the
-    bubble of psi at scale alpha_n mollified by rho.  Members that carry a
-    generator get the remainder's generator too."""
-    members = []
-    for i, m in enumerate(family.members):
+                    rho: MollifierSpec, only: range | None = None) -> SequenceFamily:
+    """Remainder family r_n = u_n - g_n on the member grids at the positions in
+    ``only`` (default all), where g_n is the bubble of psi at scale alpha_n
+    mollified by rho.  Members with a generator get the remainder's one too."""
+    members = list(family.members)
+    for i in range(family.size) if only is None else only:
+        m = members[i]
         spec = BubbleSpec(alpha=float(scales.alpha[i]), profile=psi, mollifier=rho)
         vals = m.values - bubble_values(m.grid.nodes, spec)
         gen = None
@@ -280,8 +285,7 @@ def subtract_bubble(family: SequenceFamily, scales: ScaleSeq, psi: Profile,
             base = m.generator
             gen = (lambda s, _b=base, _sp=spec:
                    np.asarray(_b(s), dtype=float) - bubble_values(s, _sp))
-        members.append(LogRadialFunction(m.grid, vals, name=f"{m.name}-rem",
-                                         generator=gen))
+        members[i] = LogRadialFunction(m.grid, vals, name=f"{m.name}-rem", generator=gen)
     return SequenceFamily(list(family.indices), members,
                           meta=dict(family.meta, remainder=True))
 
@@ -439,7 +443,9 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         psi = _extract_pair(working, scales, ok[-1], ok[-2], stabilize=True)
         diagnostics["stabilization"].append(psi.stabilization)
 
-        rems = [subtract_bubble(working, scales, psi, cand) for cand in rho_candidates]
+        # candidates subtract where estimate_A0 reads; the kept one completes
+        scored = a0_window(working) if len(rho_candidates) > 1 else range(working.size)
+        rems = [subtract_bubble(working, scales, psi, cand, scored) for cand in rho_candidates]
         scores = [estimate_A0(rem, cfg) for rem in rems]
         best = int(np.argmin(scores))
         pick = best if scores[best] * tol < scores[0] else 0
@@ -451,6 +457,8 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         if A_next > A_hist[-1] * tol:
             events.append("pursuit not contracting")
             break
+        if scored.start:
+            nxt = subtract_bubble(nxt, scales, psi, rho_candidates[0], range(scored.start))
         comps.append((scales, psi))
         ledgers.append(energy_ledger(working, nxt, psi))
         A_hist.append(A_next)

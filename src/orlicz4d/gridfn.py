@@ -69,8 +69,8 @@ class LogGrid:
             raise ValueError("grid nodes must be strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        _GRID_WEIGHTS[id(nodes)] = None
-        weakref.finalize(nodes, _GRID_WEIGHTS.pop, id(nodes), None)
+        _GRID_CACHE[id(nodes)] = {}
+        weakref.finalize(nodes, _GRID_CACHE.pop, id(nodes), None)
 
     @property
     def size(self) -> int:
@@ -212,15 +212,19 @@ class LogRadialFunction:
         return replace(self, values=c * self.values, generator=gen, _spline=None)
 
 
-def _fd_derivative(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    n = x.size
-    out = np.empty(n)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
+def _fd_stencil(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """Interior 3-point stencils: weights of y[i-1], y[i], y[i+1] (order 1), divisors (2)."""
+    hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
     if order == 1:
-        out[1:-1] = (-hp / (hm * (hm + hp)) * y[:-2]
-                     + (hp - hm) / (hm * hp) * y[1:-1]
-                     + hm / (hp * (hm + hp)) * y[2:])
+        return -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))
+    return hm * (hm + hp), hm * hp, hp * (hm + hp)
+
+
+def _fd_derivative(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    out = np.empty(x.size)
+    a, b, c = grid_memo(x, f"fd{order}", lambda x: _fd_stencil(x, order))
+    if order == 1:
+        out[1:-1] = a * y[:-2] + b * y[1:-1] + c * y[2:]
         h1, h2 = x[1] - x[0], x[2] - x[1]
         out[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * y[0]
                   + (h1 + h2) / (h1 * h2) * y[1]
@@ -230,9 +234,7 @@ def _fd_derivative(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
                    - (g1 + g2) / (g1 * g2) * y[-2]
                    + g1 / (g2 * (g1 + g2)) * y[-3])
     else:
-        out[1:-1] = 2.0 * (y[:-2] / (hm * (hm + hp))
-                           - y[1:-1] / (hm * hp)
-                           + y[2:] / (hp * (hm + hp)))
+        out[1:-1] = 2.0 * (y[:-2] / a - y[1:-1] / b + y[2:] / c)
         # boundary: curvature of the one-sided quadratic (= 2nd divided difference)
         out[0] = 2.0 * _divdiff2(x[:3], y[:3])
         out[-1] = 2.0 * _divdiff2(x[-3:], y[-3:])
@@ -249,21 +251,24 @@ def _divdiff2(x: np.ndarray, y: np.ndarray) -> float:
 # quadrature
 # --------------------------------------------------------------------------
 
-# Spline quadrature weights of LogGrid node arrays, keyed by array identity.
-# The arrays are read-only, so a cached entry is never stale; an entry is
-# registered (as None) when the grid is built and dropped with its array.
-# It is a pure memo: a hit returns what a fresh computation would.
-_GRID_WEIGHTS: dict[int, np.ndarray | None] = {}
+# Arrays derived from LogGrid node arrays (weights, stencils), by array
+# identity.  The node arrays are read-only, so an entry is never stale; it is
+# registered when the grid is built and dropped with its array.  An entry is
+# shared, so it is read-only too: a hit returns what a fresh computation would.
+_GRID_CACHE: dict[int, dict[str, object]] = {}
 
 
-def _quad_weights(nodes: np.ndarray) -> np.ndarray:
-    key = id(nodes)
-    if key not in _GRID_WEIGHTS:
-        return _spline_weights(nodes)
-    w = _GRID_WEIGHTS[key]
-    if w is None:
-        w = _GRID_WEIGHTS[key] = _spline_weights(nodes)
-    return w
+def grid_memo(nodes: np.ndarray, name: str, make: Callable[[np.ndarray], object]):
+    """make(nodes), an array or a tuple of arrays, cached read-only under
+    ``name`` if nodes is a LogGrid's node array."""
+    entry = _GRID_CACHE.get(id(nodes))
+    if entry is None:
+        return make(nodes)
+    if name not in entry:
+        entry[name] = made = make(nodes)
+        for a in made if isinstance(made, tuple) else (made,):
+            a.flags.writeable = False
+    return entry[name]
 
 
 def _spline_weights(x: np.ndarray) -> np.ndarray:
@@ -324,7 +329,7 @@ def integrate_samples(nodes: np.ndarray, samples: np.ndarray) -> float:
         raise ValueError("nodes/samples length mismatch")
     if nodes.size < 4:
         return float(np.trapezoid(samples, nodes))
-    return float(_quad_weights(nodes) @ samples)
+    return float(grid_memo(nodes, "weights", _spline_weights) @ samples)
 
 
 # --------------------------------------------------------------------------

@@ -28,11 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gridfn import IntegrandOverflowError, LogRadialFunction, integrate_samples
+from .gridfn import IntegrandOverflowError, LogRadialFunction, grid_memo, integrate_samples
 from .norms import TWO_PI2, NormKind, norm
 
 EXP_CAP = 700.0          # exp argument ceiling before declaring overflow
 _SMALL_EXPONENT = 45.0   # below this use expm1 for full relative accuracy
+_EXP_ZERO = -746.0       # exp of this or anything below is 0.0
 
 
 @dataclass
@@ -81,18 +82,21 @@ class NormReport(NamedTuple):
 
 
 def _integrand(nodes: np.ndarray, v: np.ndarray, coef: float) -> np.ndarray:
-    """(e^{coef v^2} - 1) e^{-4s}; overflow error where coef v^2 - 4s > EXP_CAP."""
+    """(e^{coef v^2} - 1) e^{-4s}; overflow error where g = coef v^2 - 4s > EXP_CAP.
+    Computed where g > _EXP_ZERO only: elsewhere e^g and e^{-4s} <= e^g are 0.0."""
     x = coef * v * v
     g = x - 4.0 * nodes
+    live = np.flatnonzero(g > _EXP_ZERO)
+    x, g = x[live], g[live]
     if np.any(g > EXP_CAP):
-        bad = int(np.argmax(g))
+        bad = live[np.argmax(g)]
         raise IntegrandOverflowError(
-            f"exponential integrand overflow (exponent {g[bad]:.3g} at "
+            f"exponential integrand overflow (exponent {g.max():.3g} at "
             f"s = {nodes[bad]:.6g}); enlarge lambda", s_offender=float(nodes[bad]))
-    e4 = np.exp(-4.0 * nodes)
-    out = np.exp(g) - e4
-    small = x < _SMALL_EXPONENT
-    out[small] = np.expm1(x[small]) * e4[small]
+    e4 = grid_memo(nodes, "exp(-4s)", lambda s: np.exp(-4.0 * s))[live]
+    out = np.zeros_like(nodes)
+    out[live] = np.where(x < _SMALL_EXPONENT, np.expm1(np.minimum(x, _SMALL_EXPONENT)) * e4,
+                         np.exp(g) - e4)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import bubbles as bb
 from . import concentration as conc
 from .corpus import corpus_functions
-from .decompose import BubbleSpec, decompose, detect_scale, synthesize_family
+from .decompose import BubbleSpec, a0_window, decompose, detect_scale, synthesize_family
 from .gridfn import LogRadialFunction
 from .norms import check_radial_inequalities, norms_squared
 from .orlicz import OrliczConfig, orlicz_norm_report
@@ -313,8 +313,7 @@ def suite_decomposition(seed: int = 7) -> SuiteReport:
             rep.add(f"energy ledger residual, iteration {j}", resid, 0.0, 0.05,
                     "energy identity")
         # A is the largest norm over the members estimate_A0 reads
-        k = (res.remainder.size + 1) // 2
-        est = max(_norm(m, cfg)[1] for m in res.remainder.members[-k:])
+        est = max(_norm(res.remainder.members[i], cfg)[1] for i in a0_window(res.remainder))
         rep.add("final orlicz mass", res.A_history[-1], 0.0, 0.1 * A0,
                 "stopping rule", estimate=est)
         tol = 1.0 + 2.0 * cfg.lambda_tol

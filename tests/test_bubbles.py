@@ -125,7 +125,7 @@ def test_mollifier_matches_closure_formulas(spec, ref_raw, ref_support):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = mid + half * gl_t
     weights = half * gl_w * (np.where((nodes > lo) & (nodes < hi), ref_raw(nodes), 0.0) / z)
-    got_nodes, got_weights = spec.conv_nodes()
+    got_nodes, got_weights, _ = spec.conv_rule
     np.testing.assert_array_equal(got_nodes, nodes)
     np.testing.assert_array_equal(got_weights, weights)
 
@@ -159,7 +159,7 @@ def test_mollify_sup_distance_hoelder_bound():
 
 def _rule_sum(psi, alpha, rho, y):
     # the 96-point rule summed point by point: the reference
-    t, w = rho.conv_nodes()
+    t, w, _ = rho.conv_rule
     return psi.eval(y[:, None] - t / alpha) @ w
 
 
@@ -175,31 +175,50 @@ def _moment_test_profiles():
 
 
 def _row_classes(psi, alpha, rho, y):
-    # the rows' classes from their windows and the profile's pieces alone
-    t, _ = rho.conv_nodes()
+    # the kernel's row classes, from the rows' windows and the profile's
+    # pieces alone: zero (window at or below 0), tail (past the span), and
+    # windows on one piece or across a knot
+    t, _, _ = rho.conv_rule
     lo, hi = y - t[-1] / alpha, y - t[0] / alpha
     brk = np.r_[0.0, psi.s[1:]]
     zero, tail = hi <= 0.0, lo > psi.span
-    touched = (brk[:-1] < hi[:, None]) & (brk[1:] >= lo[:, None])
-    narrow = (hi - lo)[:, None] > 2.0 * np.diff(brk)
-    fallback = ~zero & ~tail & np.any(touched & narrow, axis=1)
     split = np.any((brk >= lo[:, None]) & (brk < hi[:, None]), axis=1)
-    rest = ~zero & ~tail & ~fallback
-    return {"zero": zero, "tail": tail, "fallback": fallback,
-            "one cell": rest & ~split, "split": rest & split}
+    live = ~zero & ~tail
+    return {"zero": zero, "tail": tail, "one piece": live & ~split,
+            "several pieces": live & split}
+
+
+def test_convolution_tables_are_read_only():
+    # every bubble of a profile and every row of a mollifier shares them
+    psi = next(_moment_test_profiles())
+    for a in (*psi.pieces, *bb.default_mollifier().conv_rule):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_piece_lookup_matches_searchsorted():
+    # both sides of the merge's size test, with rows on and between knots
+    rng = np.random.default_rng(11)
+    knots = np.sort(rng.uniform(0.0, 10.0, 200))
+    for m in (1, 50, 200, 201, 5000):
+        x = np.sort(np.r_[rng.choice(knots, m // 2), rng.uniform(-1.0, 11.0, m - m // 2)])
+        np.testing.assert_array_equal(bb._pieces(knots, x), np.searchsorted(knots, x))
 
 
 def test_mollified_moments_match_rule():
+    # windows from a fraction of a cell to the whole profile: at alpha 2, 16
+    # and 256 the standard bump spans about 1000, 130 and 8 cells of the
+    # 1537-node profile
     rng = np.random.default_rng(5)
     mollifiers = (bb.default_mollifier(), bb.narrow_mollifier(),
                   bb.alternative_mollifier(), bb.narrow_mollifier(0.01))
-    hits = dict.fromkeys(("zero", "tail", "one cell", "split", "fallback"), 0)
+    hits = dict.fromkeys(("zero", "tail", "one piece", "several pieces"), 0)
     for psi in _moment_test_profiles():
         s = psi.s
         scale = np.max(np.abs(psi.eval(np.r_[s, 0.5 * (s[1:] + s[:-1]), 0.5 * s[0]])))
-        for alpha in (1.0, 8.0, 64.0, 1024.0, 2e4):
+        for alpha in (1.0, 2.0, 8.0, 16.0, 64.0, 256.0, 1024.0, 2e4):
             for rho in mollifiers:
-                t, _ = rho.conv_nodes()
+                t, _, _ = rho.conv_rule
                 # rows whose rule arguments land exactly on a knot, on 0 and
                 # on the span, besides random points in and beyond the span
                 on_knots = rng.choice(s, 40) + rng.choice(t, 40) / alpha

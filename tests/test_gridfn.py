@@ -124,6 +124,30 @@ def test_derivative_convergence_order():
     assert order >= 1.9
 
 
+def _interior_fd_formula(x, y, order):
+    # the interior stencils as first written: the reference for the stencils
+    # cached per grid
+    hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
+    if order == 1:
+        return (-hp / (hm * (hm + hp)) * y[:-2] + (hp - hm) / (hm * hp) * y[1:-1]
+                + hm / (hp * (hm + hp)) * y[2:])
+    return 2.0 * (y[:-2] / (hm * (hm + hp)) - y[1:-1] / (hm * hp) + y[2:] / (hp * (hm + hp)))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(5, 5000), seed=st.integers(0, 2 ** 32 - 1))
+def test_fd_stencils_match_formula(n, seed):
+    rng = np.random.default_rng(seed)
+    x = random_graded_nodes(rng, n)
+    y = rng.normal(size=n)
+    f = LogRadialFunction(LogGrid(x), y)
+    for order in (1, 2):
+        want = _interior_fd_formula(f.grid.nodes, y, order)
+        for _ in range(2):   # computing, then reusing the grid's stencils
+            np.testing.assert_array_equal(f.derivative(order).values[1:-1], want)
+        np.testing.assert_array_equal(gridfn._fd_derivative(x, y, order)[1:-1], want)
+
+
 def test_derivative_needs_enough_nodes():
     g = LogGrid(np.array([0.0, 1.0, 2.0]))
     f = LogRadialFunction(g, np.zeros(3))
@@ -179,6 +203,19 @@ def test_quad_weights_cached_per_grid(monkeypatch):
     with pytest.raises(ValueError):
         g.nodes[3] = 0.0
     assert x.flags.writeable and LogGrid(x).nodes is not x
+
+
+def test_grid_memo_hands_out_read_only_arrays():
+    # every caller shares a cached array, so none may write to it
+    g = uniform_grid(-1.0, 3.0, 50)
+    w = gridfn.grid_memo(g.nodes, "weights", gridfn._spline_weights)
+    stencils = gridfn.grid_memo(g.nodes, "fd1", lambda x: gridfn._fd_stencil(x, 1))
+    for a in (w, *stencils):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert gridfn.grid_memo(g.nodes, "weights", gridfn._spline_weights) is w
+    # an ad-hoc array is not cached, so its result stays the caller's own
+    assert gridfn.grid_memo(np.array(g.nodes), "weights", gridfn._spline_weights).flags.writeable
 
 
 def test_sample_radial_generator_roundtrip():

@@ -256,6 +256,48 @@ def test_overflow_signals_small_lambda():
 
 # ------------------------------------------------- exponential functional --
 
+def _masked_integrand(nodes, v, coef):
+    # the integrand as first written: the reference for orlicz._integrand
+    x = coef * v * v
+    g = x - 4.0 * nodes
+    if np.any(g > orlicz.EXP_CAP):
+        raise IntegrandOverflowError("overflow", s_offender=float(nodes[int(np.argmax(g))]))
+    e4 = np.exp(-4.0 * nodes)
+    out = np.exp(g) - e4
+    small = x < 45.0
+    out[small] = np.expm1(x[small]) * e4[small]
+    return out
+
+
+def test_integrand_matches_masked_formula():
+    cases = []
+    for a in (20.0, 64.0, 200.0):
+        f = bb.make_falpha(a)   # a grid's nodes: e^{-4s} comes from the cache
+        cases += [(f.grid.nodes, f.values, c) for c in (1.0, 30.0, 300.0, 3000.0)]
+    for m in two_bubble_family().members:
+        v = m.values / np.max(np.abs(m.values))
+        cases += [(m.grid.nodes, v, c) for c in (10.0, 300.0, 3000.0, 1e5)]
+    up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    s = np.array([-1.0, 0.0, 0.5, 10.0, 186.5 * down, 186.5, 186.5 * up, 197.75, 300.0])
+    one = np.ones_like(s)
+    for x in (45.0 * down, 45.0, 45.0 * up, 700.0 * down, 700.0, 700.0 * up):
+        cases += [(s, one, x), (s[2:], one[2:], x)]
+    # g at -746 and one ulp either side, by v = 0 (186.5) and by x = 45 (197.75)
+    cases += [(s, np.zeros_like(s), 1.0), (s, np.full_like(s, 3.0), 5.0)]
+    raised = 0
+    for nodes, v, coef in cases:
+        try:
+            want = _masked_integrand(nodes, v, coef)
+        except IntegrandOverflowError as exc:
+            with pytest.raises(IntegrandOverflowError) as got:
+                orlicz._integrand(nodes, v, coef)
+            assert got.value.s_offender == exc.s_offender
+            raised += 1
+            continue
+        np.testing.assert_array_equal(orlicz._integrand(nodes, v, coef), want)
+    assert 0 < raised < len(cases)
+
+
 def test_tm_zero_beta():
     f = step_function()
     assert tm_functional(f, 0.0).value == 0.0
