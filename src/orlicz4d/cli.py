@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -53,7 +54,10 @@ def _add_orlicz_flags(p: argparse.ArgumentParser) -> None:
                    help="relative tolerance for the norm")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every parse fills a fresh
+    namespace, so no flag value carries over from one main() to the next."""
     ap = argparse.ArgumentParser(prog="orlicz4d", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -146,7 +150,7 @@ def run(args) -> int:
     elif args.command == "norm":
         f = ser.logradial_from_dict(ser.read_json(args.infile))
         val = norm(f, NormKind[args.which])
-        _emit({"which": args.which, "value": ser.fmt_float(val)}, args.out)
+        _emit({"which": args.which, "value": val}, args.out)
 
     elif args.command == "orlicz":
         f = ser.logradial_from_dict(ser.read_json(args.infile))
@@ -156,12 +160,12 @@ def run(args) -> int:
     elif args.command == "tm":
         f = ser.logradial_from_dict(ser.read_json(args.infile))
         res = tm_functional(f, args.beta)
-        _emit({"beta": args.beta, "value": ser.fmt_float(res.value),
-               "l2_ratio": ser.fmt_float(res.l2_ratio)}, args.out)
+        _emit({"beta": args.beta, "value": res.value, "l2_ratio": res.l2_ratio},
+              args.out)
 
     elif args.command == "concentration":
         rep = conc.pair_concentration(args.alpha, conc.TEST_FUNCTIONS[args.phi])
-        _emit(ser.concentration_to_dict(rep), args.out)
+        _emit(rep.to_dict(), args.out)
 
     elif args.command == "lemma-add1":
         i4, i3 = bb.lemma_add1_integrals(args.alpha)

@@ -11,6 +11,16 @@ The pairings are computed by 1D quadrature in each region with the
 substitutions that cancel e^{4 alpha} analytically; on the ball
 32 pi^2 f_alpha^2 = 4 alpha + 4(1 - t^2) + (1 - t^2)^2/alpha with t = r e^alpha,
 so no large exponentials ever materialize.
+
+Each region is integrated by one composite 24-point Gauss-Legendre rule on
+whole arrays: t in [0, 1] on the ball, u = -log r in [0, alpha] on the
+annulus (breakpoints min(2, alpha/2) and alpha/4, alpha/2, 3 alpha/4) and
+r in [1, 2] where eta lives (breakpoints 1.3, 1.7, 1.95).  Panels start at
+width 0.25 (0.02 on [1, 2]) at every endpoint and breakpoint and double in
+width towards the middle of each piece.  A term's error estimate is
+|rule - the same rule on halved panels| plus the rounding bound
+n eps sum |w f| of its n-node sum.  The test function phi is called with
+1-D arrays of radii only: once per region and once at r = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad  # noqa: F401  (perfbench's tracer rebinds this name)
 
 from .bubbles import _step_down, eta_callables
 
@@ -29,19 +40,23 @@ EXP_TOTAL_LIMIT = PI2 / 16.0 * (np.e ** 4 + 3.0)    # 35.5294...
 EXP_INNER_LIMIT = PI2 / 16.0 * (np.e ** 4 - 5.0)    # 30.5946...
 EXP_ANNULUS_LIMIT = PI2 / 2.0                        # 4.9348...
 
+_GL_X, _GL_W = leggauss(24)
+
 
 @dataclass
 class ConcentrationReport:
     """Pairings of |Lap f_alpha|^2 and e^{32 pi^2 f_alpha^2} - 1 against phi.
 
     ``split`` holds the inner/annulus/outer region contributions for each
-    pairing; they sum to the totals to rounding.
+    pairing; they sum to the totals to rounding.  ``split_error`` holds the
+    estimated absolute quadrature error of each contribution.
     """
 
     alpha: float
     pairing_lap: float
     pairing_exp: float
     split: dict
+    split_error: dict
     phi_at_zero: float
 
     def to_dict(self) -> dict:
@@ -50,6 +65,7 @@ class ConcentrationReport:
             "pairing_lap": self.pairing_lap,
             "pairing_exp": self.pairing_exp,
             "split": self.split,
+            "split_error": self.split_error,
             "phi_at_zero": self.phi_at_zero,
         }
 
@@ -70,66 +86,85 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def _q(fn, lo, hi, pts=None):
-    val, _ = quad(fn, lo, hi, points=pts, limit=600)
-    return float(val)
+def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
+
+
+def _graded_rule(points: tuple[float, ...], h0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and a (2, len(x)) weight matrix: row 0 is the composite rule on
+    panels graded from width h0 at every point, row 1 the rule on those panels
+    halved (zero weight on each other's nodes)."""
+    edges = [points[0]]
+    for lo, hi in zip(points[:-1], points[1:]):
+        d = h0 * (2.0 ** np.arange(1, 64) - 1.0)
+        d = d[d < 0.5 * (hi - lo)]
+        edges.extend([*(lo + d), 0.5 * (lo + hi), *(hi - d[::-1]), hi])
+    edges = np.asarray(edges)
+    x0, w0 = _gauss_legendre(edges)
+    x1, w1 = _gauss_legendre(np.sort(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
+    weights = np.zeros((2, x0.size + x1.size))
+    weights[0, :x0.size], weights[1, x0.size:] = w0, w1
+    nodes = np.r_[x0, x1]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+# the alpha-independent rules: the ball in t = r e^alpha and eta's [1, 2]
+_BALL_RULE = _graded_rule((0.0, 1.0), 0.25)
+_ETA_RULE = _graded_rule((1.0, 1.3, 1.7, 1.95, 2.0), 0.02)
+
+
+def _integrate(weights: np.ndarray, *integrands: np.ndarray) -> list[tuple[float, float]]:
+    """(value, estimated error) of each integrand sampled on a _graded_rule."""
+    f = np.stack(integrands)
+    q = f @ weights.T
+    rounding = np.count_nonzero(weights[0]) * np.finfo(float).eps * (np.abs(f) @ weights[0])
+    return [(float(v), float(abs(v - h) + e)) for (v, h), e in zip(q, rounding)]
 
 
 def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
     """Both pairings of f_alpha-densities against the radial test phi.
 
-    phi must be smooth, radial (a function of r) and decay fast enough that
-    the exterior region integrals converge; only r in [1, 2] carries eta.
+    phi maps an array of radii to an array of values; it must be smooth,
+    radial and decay fast enough that the exterior region integrals
+    converge; only r in [1, 2] carries eta.
     """
     if alpha < 2:
         raise ValueError("alpha must be >= 2")
     a = float(alpha)
-    ea = np.exp(-a)
+    eta, _, _, lap_eta = eta_callables(a)
 
-    def phi1(r):
-        return float(np.asarray(phi(np.asarray([r], dtype=float))).reshape(-1)[0])
+    # inner ball, t = r e^alpha: |Lap f|^2 = 2 e^{4a}/(pi^2 a), measure 2 pi^2 r^3 dr;
+    # 32 pi^2 f^2 = 4a + 4(1-t^2) + (1-t^2)^2/a, so e^{4a} cancels
+    t, w = _BALL_RULE
+    pt, z = phi(t * np.exp(-a)) * t ** 3, 1.0 - t * t
+    lap_inner, exp_inner = _integrate(
+        w, (4.0 / a) * pt, 2.0 * PI2 * (np.exp(4.0 * z + z * z / a) - np.exp(-4.0 * a)) * pt)
 
-    eta_fn, _, _, lap_eta = eta_callables(a)
+    # annulus in u = -log r: |Lap f|^2 = 1/(2 pi^2 a r^4) and
+    # 32 pi^2 f^2 = 4 u^2 / a; both exponents stay <= 0
+    u, w = _graded_rule(tuple(np.unique([0.0, min(2.0, a / 2), a / 4, a / 2, 3 * a / 4, a])),
+                        0.25)
+    pu = phi(np.exp(-u))
+    lap_annulus, exp_annulus = _integrate(
+        w, pu / a, 2.0 * PI2 * (np.exp(4.0 * u * u / a - 4.0 * u) - np.exp(-4.0 * u)) * pu)
 
-    # ---- |Lap f|^2 pairing ------------------------------------------------
-    # inner ball, t = r e^alpha: |Lap f|^2 = 2 e^{4a}/(pi^2 a), measure 2 pi^2 r^3 dr
-    lap_inner = (4.0 / a) * _q(lambda t: phi1(t * ea) * t ** 3, 0.0, 1.0)
-    # annulus in u = -log r: |Lap f|^2 = 1/(2 pi^2 a r^4)
-    lap_annulus = (1.0 / a) * _q(lambda u: phi1(np.exp(-u)), 0.0, a,
-                                 pts=[min(2.0, a / 2)])
-    lap_outer = 2.0 * PI2 * _q(
-        lambda r: float(lap_eta(np.array([r]))[0]) ** 2 * phi1(r) * r ** 3,
-        1.0, 2.0, pts=[1.3, 1.7, 1.95])
+    r, w = _ETA_RULE
+    pr, e = 2.0 * PI2 * phi(r) * r ** 3, eta(r)
+    lap_outer, exp_outer = _integrate(w, lap_eta(r) ** 2 * pr, np.expm1(32.0 * PI2 * e * e) * pr)
 
-    # ---- (e^{32 pi^2 f^2} - 1) pairing -------------------------------------
-    # inner ball: 32 pi^2 f^2 = 4a + 4(1-t^2) + (1-t^2)^2/a, so e^{4a} cancels
-    def exp_inner_integrand(t):
-        z = 1.0 - t * t
-        return (np.exp(4.0 * z + z * z / a) - np.exp(-4.0 * a)) * phi1(t * ea) * t ** 3
-
-    exp_inner = 2.0 * PI2 * _q(exp_inner_integrand, 0.0, 1.0)
-
-    # annulus: 32 pi^2 f^2 = 4 u^2 / a; both exponents stay <= 0
-    def exp_annulus_integrand(u):
-        return (np.exp(4.0 * u * u / a - 4.0 * u) - np.exp(-4.0 * u)) * phi1(np.exp(-u))
-
-    exp_annulus = 2.0 * PI2 * _q(exp_annulus_integrand, 0.0, a,
-                                 pts=[a / 4, a / 2, 3 * a / 4])
-
-    def exp_outer_integrand(r):
-        e = float(eta_fn(np.array([r]))[0])
-        return np.expm1(32.0 * PI2 * e * e) * phi1(r) * r ** 3
-
-    exp_outer = 2.0 * PI2 * _q(exp_outer_integrand, 1.0, 2.0, pts=[1.3, 1.7])
-
-    split = {
+    terms = {
         "lap": {"inner": lap_inner, "annulus": lap_annulus, "outer": lap_outer},
         "exp": {"inner": exp_inner, "annulus": exp_annulus, "outer": exp_outer},
     }
+    split = {k: {region: v for region, (v, _) in d.items()} for k, d in terms.items()}
     return ConcentrationReport(
         alpha=a,
-        pairing_lap=lap_inner + lap_annulus + lap_outer,
-        pairing_exp=exp_inner + exp_annulus + exp_outer,
+        pairing_lap=lap_inner[0] + lap_annulus[0] + lap_outer[0],
+        pairing_exp=exp_inner[0] + exp_annulus[0] + exp_outer[0],
         split=split,
-        phi_at_zero=phi1(0.0),
+        split_error={k: {region: e for region, (_, e) in d.items()}
+                     for k, d in terms.items()},
+        phi_at_zero=float(np.asarray(phi(np.zeros(1))).reshape(-1)[0]),
     )

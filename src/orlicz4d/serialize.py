@@ -1,7 +1,8 @@
 """JSON wire formats and deterministic artifact emission.
 
-All reals are serialized as decimal strings with 17 significant digits, so
-identical runs produce identical bytes and round-trips are lossless.
+Reals are written by json's repr of the binary64 value, the shortest decimal
+that parses back to the same double, so identical runs produce identical
+bytes and round-trips are lossless.
 """
 
 from __future__ import annotations
@@ -13,19 +14,13 @@ from typing import Any
 import numpy as np
 
 from .bubbles import Profile
-from .concentration import ConcentrationReport
 from .decompose import DecompositionResult, SequenceFamily
 from .gridfn import LogGrid, LogRadialFunction
 from .orlicz import NormReport
 
 
-def fmt_float(x: float) -> float:
-    # round-trip through the 17-digit decimal the interface mandates
-    return float(f"{float(x):.17g}")
-
-
 def _num_list(a) -> list[float]:
-    return [fmt_float(x) for x in np.asarray(a, dtype=float)]
+    return np.asarray(a, dtype=float).tolist()
 
 
 # -- LogRadialFunction: {"meta": {...}, "grid_s": [...], "values": [...]} ----
@@ -102,38 +97,32 @@ def result_to_dict(res: DecompositionResult) -> dict:
 def norm_report_to_dict(rep: NormReport) -> dict:
     """The norm, its estimated relative errors (null where not estimable),
     the unbounded-tail flag, and whether the estimate exceeds lambda_tol."""
-    est = lambda x: fmt_float(x) if math.isfinite(x) else None
-    return {"orlicz_norm": fmt_float(rep.lam), "halving_error": est(rep.halving),
+    est = lambda x: float(x) if math.isfinite(x) else None
+    return {"orlicz_norm": float(rep.lam), "halving_error": est(rep.halving),
             "tail_error": est(rep.tail), "open_tail": rep.open_tail,
             "flagged": rep.flagged}
 
 
-def concentration_to_dict(rep: ConcentrationReport) -> dict:
-    d = rep.to_dict()
-    d["pairing_lap"] = fmt_float(d["pairing_lap"])
-    d["pairing_exp"] = fmt_float(d["pairing_exp"])
-    d["phi_at_zero"] = fmt_float(d["phi_at_zero"])
-    d["split"] = {k: {kk: fmt_float(vv) for kk, vv in v.items()}
-                  for k, v in d["split"].items()}
-    return d
-
-
 def _jsonable(obj: Any) -> Any:
+    """Containers as dicts and lists, numpy arrays and scalars as Python
+    numbers (arrays as lists of floats); everything else as it is."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {float}:  # e.g. a _num_list: no walk per element
+            return list(obj)
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _num_list(obj)
-    if isinstance(obj, (np.floating, float)):
-        return fmt_float(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
 
 def dumps(payload: dict) -> str:
-    """Deterministic JSON text (stable key order, fixed float formatting)."""
+    """Deterministic JSON text (stable key order, repr float formatting)."""
     return json.dumps(_jsonable(payload), indent=2, sort_keys=False) + "\n"
 
 

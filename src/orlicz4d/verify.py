@@ -155,33 +155,34 @@ def suite_falpha(seed: int = 7) -> SuiteReport:
 def suite_concentration(seed: int = 7) -> SuiteReport:
     t0 = time.time()
     rep = SuiteReport("concentration", seed)
-    lap_errs, exp_errs, inner_errs, ann_errs = [], [], [], []
+    # per quantity and alpha: (relative error to the limit, its quadrature estimate)
+    errs = {k: [] for k in ("lap", "exp", "inner", "annulus")}
+    rows80 = {"lap": ("lap pairing", 0.03), "exp": ("exp pairing", 0.10),
+              "inner": ("exp inner split", 0.10), "annulus": ("exp annulus split", 0.10)}
     for a in (20, 40, 80):
         r = conc.pair_concentration(a, conc.gaussian_test)
-        phi0 = r.phi_at_zero
-        lap_errs.append(abs(r.pairing_lap - phi0) / phi0)
-        exp_errs.append(abs(r.pairing_exp - conc.EXP_TOTAL_LIMIT * phi0)
-                        / (conc.EXP_TOTAL_LIMIT * phi0))
-        inner_errs.append(abs(r.split["exp"]["inner"] - conc.EXP_INNER_LIMIT * phi0)
-                          / (conc.EXP_INNER_LIMIT * phi0))
-        ann_errs.append(abs(r.split["exp"]["annulus"] - conc.EXP_ANNULUS_LIMIT * phi0)
-                        / (conc.EXP_ANNULUS_LIMIT * phi0))
         split_gap = max(abs(r.pairing_lap - sum(r.split["lap"].values())),
                         abs(r.pairing_exp - sum(r.split["exp"].values())))
         rep.add(f"split sums to total alpha={a}", split_gap, 0.0,
                 1e-10 * max(abs(r.pairing_exp), 1.0), "identity")
-    r80 = conc.pair_concentration(80, conc.gaussian_test)
-    rep.add("lap pairing alpha=80", r80.pairing_lap, 1.0, 0.03, "asymptotic limit")
-    rep.add("exp pairing alpha=80", r80.pairing_exp, conc.EXP_TOTAL_LIMIT,
-            0.10 * conc.EXP_TOTAL_LIMIT, "asymptotic limit")
-    rep.add("exp inner split alpha=80", r80.split["exp"]["inner"],
-            conc.EXP_INNER_LIMIT, 0.10 * conc.EXP_INNER_LIMIT, "asymptotic limit")
-    rep.add("exp annulus split alpha=80", r80.split["exp"]["annulus"],
-            conc.EXP_ANNULUS_LIMIT, 0.10 * conc.EXP_ANNULUS_LIMIT, "asymptotic limit")
-    for name, es in (("lap", lap_errs), ("exp", exp_errs),
-                     ("inner", inner_errs), ("annulus", ann_errs)):
-        rep.add(f"{name} error decreasing over alpha ladder", es[-1], es[0], 0.0,
-                "asymptotic limit", passed=es[0] > es[1] > es[2])
+        phi0, est = r.phi_at_zero, r.split_error
+        for name, value, limit, e in (
+                ("lap", r.pairing_lap, phi0, sum(est["lap"].values())),
+                ("exp", r.pairing_exp, conc.EXP_TOTAL_LIMIT * phi0, sum(est["exp"].values())),
+                ("inner", r.split["exp"]["inner"], conc.EXP_INNER_LIMIT * phi0,
+                 est["exp"]["inner"]),
+                ("annulus", r.split["exp"]["annulus"], conc.EXP_ANNULUS_LIMIT * phi0,
+                 est["exp"]["annulus"])):
+            errs[name].append((abs(value - limit) / limit, e / limit))
+            if a == 80:
+                label, tol = rows80[name]
+                rep.add(f"{label} alpha=80", value, limit, tol * limit, "asymptotic limit",
+                        estimate=e)
+    for name, es in errs.items():
+        # each step down must exceed both estimates
+        rep.add(f"{name} error decreasing over alpha ladder", es[-1][0], es[0][0], 0.0,
+                "asymptotic limit", estimate=es[-1][1],
+                passed=all(e0 - d0 > e1 + d1 for (e0, d0), (e1, d1) in zip(es, es[1:])))
 
     prev4 = prev3 = None
     for a in (25, 50, 100, 200):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import orlicz4d
 from orlicz4d import bubbles as bb
 from orlicz4d import gridfn
 from orlicz4d import serialize as ser
-from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from orlicz4d.decompose import synthesize_family
 from orlicz4d.orlicz import tm_functional
 from orlicz4d.verify import SuiteReport
@@ -56,9 +61,67 @@ def test_malformed_json_reports_path():
         ser.logradial_from_dict({"meta": {}})
 
 
-def test_float_format_seventeen_digits():
-    x = 1.0 / 3.0
-    assert ser.fmt_float(x) == x  # 17 significant digits round-trip
+# The writer before arrays were emitted by .tolist(): every real went through
+# a 17-significant-digit decimal, which is the identity on binary64.
+def _fmt_float_17(x):
+    return float(f"{float(x):.17g}")
+
+
+def _jsonable_17(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_17(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_17(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_fmt_float_17(x) for x in np.asarray(obj, dtype=float)]
+    if isinstance(obj, (np.floating, float)):
+        return _fmt_float_17(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+_reals = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, 1.0 / 3.0, 0.1, 1e300])
+_leaves = (_reals | st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.none() | st.text(max_size=4)
+           | _reals.map(np.float64) | st.floats(width=32).map(np.float32)
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | hnp.arrays(np.float64, st.integers(0, 6), elements=_reals)
+           | hnp.arrays(np.int32, st.integers(0, 6)))
+_payloads = st.recursive(
+    _leaves, lambda kids: st.lists(kids, max_size=5) | st.tuples(kids, kids)
+    | st.dictionaries(st.text(max_size=4) | st.integers(0, 9), kids, max_size=4),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), _payloads, max_size=4))
+def test_dumps_bytes_match_seventeen_digit_writer(payload):
+    assert ser.dumps(payload) == json.dumps(_jsonable_17(payload), indent=2) + "\n"
+
+
+# sha256 of the CLI artifacts at two lattice alphas of the falpha_cli
+# benchmark, written by the 17-digit writer; the default node budget
+PINNED_ARTIFACTS = {
+    "20.0": ("f5e04498c2dc77a3258bab0246080b027631c45f2ff8b051c7745fb64c4434b4",
+             "a5d214ef788a33d36ae5ced87d7db7071c7dc5c479790e2dd31ea220f96afd95",
+             "e991506fc124b7672a0116cf3c46a6b3e4a2c569593ba0bee7bcc9c24981416c"),
+    "63.24555320336759": (
+        "810130cb6209e6b1ae3d96dda57c08752c70e570e3bd28ef1a73028d5f56fd18",
+        "80cd771912c03ce7e832cc05ace7cd516bcdb8e18a634e841bb58e04f2c8ec06",
+        "abb3c35164b8df49948479ccab0f058d78a49c572da59419a3e9509ae193f079"),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(PINNED_ARTIFACTS))
+def test_cli_artifacts_pinned(alpha, tmp_path, monkeypatch):
+    monkeypatch.delenv("ORLICZ4D_NODE_BUDGET", raising=False)
+    f, o, t = (str(tmp_path / n) for n in ("f.json", "o.json", "t.json"))
+    assert main(["gen-falpha", "--alpha", alpha, "--out", f]) == EXIT_OK
+    assert main(["orlicz", "--in", f, "--out", o]) == EXIT_OK
+    assert main(["tm", "--in", f, "--beta", repr(32.0 * math.pi ** 2), "--out", t]) == EXIT_OK
+    got = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (f, o, t))
+    assert got == PINNED_ARTIFACTS[alpha]
 
 
 # ------------------------------------------------------------------- CLI ---
@@ -115,8 +178,7 @@ def test_cli_tm_matches_functional(tmp_path):
     with open(out) as fh:
         d = json.load(fh)
     want = tm_functional(ser.logradial_from_dict(ser.read_json(str(fpath))), beta)
-    assert d == {"beta": beta, "value": ser.fmt_float(want.value),
-                 "l2_ratio": ser.fmt_float(want.l2_ratio)}
+    assert d == {"beta": beta, "value": want.value, "l2_ratio": want.l2_ratio}
 
 
 def test_cli_gen_bubble_profiles(tmp_path):
@@ -167,7 +229,26 @@ def test_cli_concentration_json(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     with open(out) as fh:
         d = json.load(fh)
-    assert set(d) == {"alpha", "pairing_lap", "pairing_exp", "split", "phi_at_zero"}
+    assert set(d) == {"alpha", "pairing_lap", "pairing_exp", "split", "split_error",
+                      "phi_at_zero"}
+    assert all(0.0 <= e <= 1e-10 * abs(d["pairing_exp"])
+               for part in d["split_error"].values() for e in part.values())
+
+
+def test_cli_cached_parser_keeps_no_flags(tmp_path):
+    # one parser per process: a flag given to one call must not reach the next
+    assert build_parser() is build_parser()
+    f = str(tmp_path / "f.json")
+    assert main(["gen-falpha", "--alpha", "10", "--out", f]) == EXIT_OK
+    out = {}
+    for name, argv in (("o2", ["orlicz", "--kappa", "2"]), ("o1", ["orlicz"]),
+                       ("nlap", ["norm", "--which", "LAP"]), ("n", ["norm"])):
+        out[name] = str(tmp_path / f"{name}.json")
+        assert main(argv + ["--in", f, "--out", out[name]]) == EXIT_OK
+    read = lambda name: json.loads(Path(out[name]).read_text())
+    assert read("o2")["kappa"] == 2.0 and read("o1")["kappa"] == 1.0
+    assert read("nlap")["which"] == "LAP" and read("n")["which"] == "L2"
+    assert read("o2")["orlicz_norm"] < read("o1")["orlicz_norm"]
 
 
 def test_cli_decompose(tmp_path):
