@@ -639,7 +639,7 @@ def falpha_grid(alpha: float, h_kink: float = 5e-4, refine: float = 1.0) -> LogG
     a = float(alpha)
     left = np.linspace(-0.75, 0.0, int(1400 * refine))
     up0 = _geometric_offsets(h_kink / refine, a / (250.0 * refine), a / 2.0)
-    dn_a = a - _geometric_offsets(h_kink / refine, a / (250.0 * refine), a / 2.0)[::-1]
+    dn_a = a - up0[::-1]
     tail = a + _geometric_offsets(h_kink / refine, 0.03 / refine, 14.0)
     nodes = np.unique(np.concatenate([left, up0, dn_a[:-1], [a], tail]))
     return LogGrid(nodes)

@@ -132,9 +132,10 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# the library raises on non-finite integrals itself; numpy's overflow
-# warning would only print ahead of the "numerical failure" line
-@np.errstate(over="ignore")
+# the library raises on non-finite integrals itself; numpy's overflow and
+# invalid (inf - inf) warnings would only print ahead of the "numerical
+# failure" line
+@np.errstate(over="ignore", invalid="ignore")
 def run(args) -> int:
     if args.command == "gen-falpha":
         refine = max(_node_budget() / DEFAULT_BUDGET, 0.25)

@@ -213,27 +213,28 @@ class LogRadialFunction:
 
 
 def _fd_stencil(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-    """Interior 3-point stencils: weights of y[i-1], y[i], y[i+1] (order 1), divisors (2)."""
+    """Interior 3-point stencils: weights of y[i-1], y[i], y[i+1] (order 1), divisors (2).
+    Order 1 adds the one-sided end weights of y[0], y[1], y[2] and y[-1], y[-2], y[-3]."""
     hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
     if order == 1:
-        return -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))
+        h1, h2, g1, g2 = x[1] - x[0], x[2] - x[1], x[-1] - x[-2], x[-2] - x[-3]
+        ends = np.array([[-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                          -(h1 / (h2 * (h1 + h2)))],
+                         [(2 * g1 + g2) / (g1 * (g1 + g2)), -((g1 + g2) / (g1 * g2)),
+                          g1 / (g2 * (g1 + g2))]])
+        return -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)), ends
     return hm * (hm + hp), hm * hp, hp * (hm + hp)
 
 
 def _fd_derivative(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     out = np.empty(x.size)
-    a, b, c = grid_memo(x, f"fd{order}", lambda x: _fd_stencil(x, order))
     if order == 1:
+        a, b, c, e = grid_memo(x, "fd1", lambda x: _fd_stencil(x, 1))
         out[1:-1] = a * y[:-2] + b * y[1:-1] + c * y[2:]
-        h1, h2 = x[1] - x[0], x[2] - x[1]
-        out[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * y[0]
-                  + (h1 + h2) / (h1 * h2) * y[1]
-                  - h1 / (h2 * (h1 + h2)) * y[2])
-        g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
-        out[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2)) * y[-1]
-                   - (g1 + g2) / (g1 * g2) * y[-2]
-                   + g1 / (g2 * (g1 + g2)) * y[-3])
+        out[0] = e[0, 0] * y[0] + e[0, 1] * y[1] + e[0, 2] * y[2]
+        out[-1] = e[1, 0] * y[-1] + e[1, 1] * y[-2] + e[1, 2] * y[-3]
     else:
+        a, b, c = grid_memo(x, "fd2", lambda x: _fd_stencil(x, 2))
         out[1:-1] = 2.0 * (y[:-2] / a - y[1:-1] / b + y[2:] / c)
         # boundary: curvature of the one-sided quadratic (= 2nd divided difference)
         out[0] = 2.0 * _divdiff2(x[:3], y[:3])
@@ -269,6 +270,11 @@ def grid_memo(nodes: np.ndarray, name: str, make: Callable[[np.ndarray], object]
         for a in made if isinstance(made, tuple) else (made,):
             a.flags.writeable = False
     return entry[name]
+
+
+def exp_weight(nodes: np.ndarray, k: int) -> np.ndarray:
+    """e^{-k s} on the nodes, cached read-only if nodes is a LogGrid's."""
+    return grid_memo(nodes, f"exp(-{k}s)", lambda s: np.exp(-float(k) * s))
 
 
 def _spline_weights(x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .gridfn import (IntegrandOverflowError, LogRadialFunction,
-                     integrate_samples)
+from .gridfn import (IntegrandOverflowError, LogRadialFunction, _fd_derivative,
+                     exp_weight, grid_memo, integrate_samples)
 
 TWO_PI2 = 2.0 * np.pi ** 2
 
@@ -37,23 +37,24 @@ class NormKind(Enum):
 # derivatives it needs (0: none, 1: v', 2: v' and lap).  Keys are the
 # NormKind values.
 _INTEGRANDS = {
-    "l2": (0, lambda s, v, dv, lap: np.exp(-4.0 * s) * v * v),
-    "grad": (1, lambda s, v, dv, lap: np.exp(-2.0 * s) * dv * dv),
+    "l2": (0, lambda s, v, dv, lap: exp_weight(s, 4) * v * v),
+    "grad": (1, lambda s, v, dv, lap: exp_weight(s, 2) * dv * dv),
     "invr_grad": (1, lambda s, v, dv, lap: dv * dv),
     "lap": (2, lambda s, v, dv, lap: lap * lap),
-    "schroedinger": (2, lambda s, v, dv, lap: (v * np.exp(-2.0 * s) - lap) ** 2),
+    "schroedinger": (2, lambda s, v, dv, lap: (v * exp_weight(s, 2) - lap) ** 2),
 }
 
 
 def _squared(f: LogRadialFunction, kinds: tuple[str, ...]) -> dict[str, float]:
     """Squared norms of the given kinds; each derivative is taken once, and
-    only if a requested kind needs it."""
+    only if a requested kind needs it.  A non-finite derivative makes its
+    integral non-finite, so it is reported as an overflow."""
     f.grid.require_norm_grade()
     s = f.grid.nodes
     v = f.values
     order = max(_INTEGRANDS[k][0] for k in kinds)
-    dv = f.derivative(1).values if order >= 1 else None
-    lap = f.derivative(2).values - 2.0 * dv if order >= 2 else None
+    dv = _fd_derivative(s, v, 1) if order >= 1 else None
+    lap = _fd_derivative(s, v, 2) - 2.0 * dv if order >= 2 else None
     out = {}
     for k in kinds:
         integrand = _INTEGRANDS[k][1](s, v, dv, lap)
@@ -117,12 +118,19 @@ def discretization_slack(f: LogRadialFunction) -> float:
     return float(4.0 * (np.max(h) / max(span, 1.0)) ** 2)
 
 
+def _prefix_r3(s: np.ndarray, r_floor: float) -> np.ndarray:
+    """r^3 where r = e^{-s} >= r_floor: a prefix, as r decreases along s."""
+    r = np.exp(-s)
+    return r[:np.count_nonzero(r >= r_floor)] ** 3
+
+
 def check_radial_inequalities(f: LogRadialFunction, r_floor: float = 0.1,
                               slack: float | None = None) -> InequalityReport:
     """Check ||(1/r) d_r u|| <= 0.5 ||Lap u|| and the pointwise decay bound.
 
     The pointwise bound u(r)^2 <= ||u|| ||grad u|| / (pi^2 r^3) degenerates
-    as r -> 0, hence the r_floor.  A zero function passes trivially.
+    as r -> 0, hence the r_floor; r^3 on r >= r_floor is cached per grid and
+    r_floor.  A zero function passes trivially.
     """
     if slack is None:
         slack = 1e-6 + discretization_slack(f)
@@ -133,14 +141,13 @@ def check_radial_inequalities(f: LogRadialFunction, r_floor: float = 0.1,
 
     l2 = float(np.sqrt(sq["l2"]))
     grad = float(np.sqrt(sq["grad"]))
-    s = f.grid.nodes
-    r = np.exp(-s)
-    mask = r >= r_floor
     denom = l2 * grad
-    if denom == 0.0 or not np.any(mask):
+    r3 = grid_memo(f.grid.nodes, f"r^3 on r >= {float(r_floor)!r}",
+                   lambda s: _prefix_r3(s, r_floor))
+    if denom == 0.0 or r3.size == 0:
         ratio_max = 0.0
     else:
-        num = f.values[mask] ** 2 * np.pi ** 2 * r[mask] ** 3
+        num = f.values[:r3.size] ** 2 * np.pi ** 2 * r3
         ratio_max = float(np.max(num) / denom)
     pointwise_pass = ratio_max <= 1.0 + slack
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gridfn import IntegrandOverflowError, LogRadialFunction, grid_memo, integrate_samples
+from .gridfn import IntegrandOverflowError, LogRadialFunction, exp_weight, integrate_samples
 from .norms import TWO_PI2, NormKind, norm
 
 EXP_CAP = 700.0          # exp argument ceiling before declaring overflow
@@ -93,7 +93,7 @@ def _integrand(nodes: np.ndarray, v: np.ndarray, coef: float) -> np.ndarray:
         raise IntegrandOverflowError(
             f"exponential integrand overflow (exponent {g.max():.3g} at "
             f"s = {nodes[bad]:.6g}); enlarge lambda", s_offender=float(nodes[bad]))
-    e4 = grid_memo(nodes, "exp(-4s)", lambda s: np.exp(-4.0 * s))[live]
+    e4 = exp_weight(nodes, 4)[live]
     out = np.zeros_like(nodes)
     out[live] = np.where(x < _SMALL_EXPONENT, np.expm1(np.minimum(x, _SMALL_EXPONENT)) * e4,
                          np.exp(g) - e4)

@@ -121,9 +121,27 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
+def _indented(obj: Any, pad: str) -> str:
+    """json.dumps(obj, indent=2) of jsonable obj at indentation pad.  The
+    walk is in Python; each list of plain floats, and every leaf, is written
+    by json's C encoder (indent=2 alone would run its pure-Python one)."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        body = (",\n" + inner).join(f"{json.dumps(k)}: {_indented(v, inner)}"
+                                    for k, v in obj.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, list) and obj:
+        if set(map(type, obj)) == {float}:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def dumps(payload: dict) -> str:
     """Deterministic JSON text (stable key order, repr float formatting)."""
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=False) + "\n"
+    return _indented(_jsonable(payload), "") + "\n"
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -20,8 +20,8 @@ from . import concentration as conc
 from .corpus import corpus_functions
 from .decompose import BubbleSpec, a0_window, decompose, detect_scale, synthesize_family
 from .gridfn import LogRadialFunction
-from .norms import check_radial_inequalities, norms_squared
-from .orlicz import OrliczConfig, orlicz_norm_report
+from .norms import NormKind, check_radial_inequalities, norm, norms_squared
+from .orlicz import OrliczConfig, orlicz_norm_report, tm_functional
 
 PI2 = np.pi ** 2
 SQRT_6PI2 = np.sqrt(6.0 * PI2)      # 7.6952989...
@@ -161,10 +161,15 @@ def suite_concentration(seed: int = 7) -> SuiteReport:
               "inner": ("exp inner split", 0.10), "annulus": ("exp annulus split", 0.10)}
     for a in (20, 40, 80):
         r = conc.pair_concentration(a, conc.gaussian_test)
-        split_gap = max(abs(r.pairing_lap - sum(r.split["lap"].values())),
-                        abs(r.pairing_exp - sum(r.split["exp"].values())))
-        rep.add(f"split sums to total alpha={a}", split_gap, 0.0,
-                1e-10 * max(abs(r.pairing_exp), 1.0), "identity")
+        # the phi = 1 totals against f_alpha's grid functionals: a second
+        # discretization, which also sees the eta region's share
+        one, f = conc.pair_concentration(a, np.ones_like), bb.make_falpha(a)
+        for name, value, target, tol in (
+                ("exp", one.pairing_exp, tm_functional(f, 32.0 * PI2).value, 1e-5),
+                ("lap", one.pairing_lap, norm(f, NormKind.LAP) ** 2, 5e-4)):
+            rep.add(f"{name} pairing phi=1 vs grid total alpha={a}", value, target,
+                    tol * target, "independent discretization",
+                    estimate=sum(one.split_error[name].values()))
         phi0, est = r.phi_at_zero, r.split_error
         for name, value, limit, e in (
                 ("lap", r.pairing_lap, phi0, sum(est["lap"].values())),

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from orlicz4d import gridfn
-from orlicz4d.gridfn import (GridDomainError, LogGrid, LogRadialFunction,
-                             compose_segments, from_radius_samples,
+from orlicz4d.gridfn import (MIN_NORM_NODES, GridDomainError, LogGrid,
+                             LogRadialFunction, compose_segments, from_radius_samples,
                              integrate_samples, sample_radial, uniform_grid)
 
 
@@ -146,6 +146,70 @@ def test_fd_stencils_match_formula(n, seed):
         for _ in range(2):   # computing, then reusing the grid's stencils
             np.testing.assert_array_equal(f.derivative(order).values[1:-1], want)
         np.testing.assert_array_equal(gridfn._fd_derivative(x, y, order)[1:-1], want)
+
+
+# _fd_derivative as it was before the end weights were cached with the
+# stencils: the reference every cached derivative must reproduce bit for bit
+def uncached_fd_derivative(x, y, order):
+    out = np.empty(x.size)
+    hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
+    if order == 1:
+        a, b, c = -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))
+        out[1:-1] = a * y[:-2] + b * y[1:-1] + c * y[2:]
+        h1, h2 = x[1] - x[0], x[2] - x[1]
+        out[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * y[0]
+                  + (h1 + h2) / (h1 * h2) * y[1]
+                  - h1 / (h2 * (h1 + h2)) * y[2])
+        g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
+        out[-1] = ((2 * g1 + g2) / (g1 * (g1 + g2)) * y[-1]
+                   - (g1 + g2) / (g1 * g2) * y[-2]
+                   + g1 / (g2 * (g1 + g2)) * y[-3])
+    else:
+        a, b, c = hm * (hm + hp), hm * hp, hp * (hm + hp)
+        out[1:-1] = 2.0 * (y[:-2] / a - y[1:-1] / b + y[2:] / c)
+        for i, sl in ((0, slice(0, 3)), (-1, slice(-3, None))):
+            xs, ys = x[sl], y[sl]
+            d01 = (ys[1] - ys[0]) / (xs[1] - xs[0])
+            d12 = (ys[2] - ys[1]) / (xs[2] - xs[1])
+            out[i] = 2.0 * ((d12 - d01) / (xs[2] - xs[0]))
+    return out
+
+
+@st.composite
+def nonuniform_functions(draw):
+    """Functions on norm-grade grids of 8-300 nodes with cell widths spread
+    log-uniformly over [1e-4, 1]: smooth bumps or rough noise, any scale
+    (test_norms draws the same)."""
+    n = draw(st.integers(MIN_NORM_NODES, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = np.exp(rng.uniform(np.log(1e-4), 0.0, n - 1))
+    x = rng.uniform(-3.0, 0.5) + np.concatenate([[0.0], np.cumsum(h)])
+    if draw(st.booleans()):
+        y = np.cos(rng.uniform(0.1, 5.0) * x) * np.exp(-0.1 * (x - x.mean()) ** 2)
+    else:
+        y = rng.normal(size=n)
+    return LogRadialFunction(LogGrid(x), y * 10.0 ** rng.uniform(-3.0, 3.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f=nonuniform_functions())
+def test_fd_derivative_bit_identical_to_uncached_formula(f):
+    x, y = f.grid.nodes, f.values
+    for order in (1, 2):
+        want = uncached_fd_derivative(x, y, order).tolist()
+        # computing, then reusing the grid's stencils; an ad-hoc node array
+        for got in (f.derivative(order).values, f.derivative(order).values,
+                    gridfn._fd_derivative(np.array(x), y, order)):
+            assert got.tolist() == want
+    # the stencils are shared, so read-only, and computed once per grid
+    entry = gridfn._GRID_CACHE[id(x)]
+    assert set(entry) == {"fd1", "fd2"}
+    for a in (a for made in entry.values() for a in made):
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    before = dict(entry)
+    f.derivative(1), f.derivative(2)
+    assert all(entry[k] is made for k, made in before.items())
 
 
 def test_derivative_needs_enough_nodes():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +18,7 @@ from orlicz4d import gridfn
 from orlicz4d import serialize as ser
 from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from orlicz4d.decompose import synthesize_family
+from orlicz4d.norms import NormKind
 from orlicz4d.orlicz import tm_functional
 from orlicz4d.verify import SuiteReport
 
@@ -88,14 +89,24 @@ _leaves = (_reals | st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.none() |
            | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
            | hnp.arrays(np.float64, st.integers(0, 6), elements=_reals)
            | hnp.arrays(np.int32, st.integers(0, 6)))
+# lists of plain floats take dumps' one-call path; lists mixing in ints and
+# bools (or numpy floats) are walked element by element
+_float_lists = st.lists(_reals, min_size=1, max_size=6)
+_mixed_lists = st.lists(_reals | st.integers(-9, 9) | st.booleans(), min_size=1, max_size=6)
 _payloads = st.recursive(
-    _leaves, lambda kids: st.lists(kids, max_size=5) | st.tuples(kids, kids)
+    _leaves | _float_lists | _mixed_lists | st.just([]) | st.just({}),
+    lambda kids: st.lists(kids, max_size=5) | st.tuples(kids, kids) | st.tuples(kids)
     | st.dictionaries(st.text(max_size=4) | st.integers(0, 9), kids, max_size=4),
     max_leaves=12)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(payload=st.dictionaries(st.text(max_size=4), _payloads, max_size=4))
+@example(payload={})
+@example(payload={"a": [], "b": {}, "c": [[], {}], "d": {"e": {"f": []}}, "g": [[[]]]})
+@example(payload={"deep": [[[[1.5, -0.0, math.nan, math.inf]]], {"x": [[[-math.inf]]]}]})
+@example(payload={"one": [2.0], "one int": [3], "one list": [[0.25]], "one dict": [{"k": 1e-300}]})
+@example(payload={"mixed": [1, 1.0, True, 0.5, False, -2, np.float64(0.1), np.int64(4)]})
 def test_dumps_bytes_match_seventeen_digit_writer(payload):
     assert ser.dumps(payload) == json.dumps(_jsonable_17(payload), indent=2) + "\n"
 
@@ -322,19 +333,33 @@ def test_cli_three_node_input_is_validation_failure(tmp_path, capsys):
 
 
 def test_cli_overflow_prints_one_line(tmp_path):
-    # a fresh interpreter with default warning filters: numpy's overflow
-    # warning used to print ahead of the failure line
+    # a fresh interpreter that prints every warning every time: numpy's
+    # overflow and invalid warnings used to print ahead of the failure line
     src = str(Path(orlicz4d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    fpath = tmp_path / "big.json"
+    big, alternating = str(tmp_path / "big.json"), str(tmp_path / "alternating.json")
     g = gridfn.uniform_grid(-1.0, 8.0, 64)
-    big = gridfn.sample_radial(lambda r: 1e200 * np.exp(-r * r), g, keep_generator=False)
-    ser.write_json(str(fpath), ser.logradial_to_dict(big))
-    proc = subprocess.run([sys.executable, "-m", "orlicz4d.cli", "norm", "--in", str(fpath),
-                           "--which", "H2_SUM"], env=env, capture_output=True, text=True)
-    assert proc.returncode == EXIT_NUMERICAL
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("numerical failure: ")
+    f = gridfn.sample_radial(lambda r: 1e200 * np.exp(-r * r), g, keep_generator=False)
+    ser.write_json(big, ser.logradial_to_dict(f))
+    # v fits in floating range, its finite differences do not: every norm is
+    # a numerical failure, not a complaint about the input
+    g = gridfn.uniform_grid(-1.0, 1.0, 64)
+    f = gridfn.LogRadialFunction(g, np.where(np.arange(64) % 2 == 0, 1e307, -1e307))
+    ser.write_json(alternating, ser.logradial_to_dict(f))
+    runs = [big, "H2_SUM"] + [a for k in NormKind for a in (alternating, k.name)]
+    driver = ("import sys, warnings\n"
+              "warnings.simplefilter('always')\n"
+              "from orlicz4d.cli import main\n"
+              "for path, k in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    print(main(['norm', '--in', path, '--which', k]), flush=True)\n"
+              "    print('--', file=sys.stderr, flush=True)\n")
+    proc = subprocess.run([sys.executable, "-c", driver, *runs],
+                          env=env, capture_output=True, text=True)
+    assert proc.stdout.split() == [str(EXIT_NUMERICAL)] * (len(runs) // 2)
+    per_run = proc.stderr.split("--\n")
+    assert len(per_run) == len(runs) // 2 + 1 and per_run[-1] == ""
+    for err in per_run[:-1]:
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
 
 
 def test_cli_numerical_failure(tmp_path):
