@@ -14,7 +14,7 @@ Run:  python demos/decomposition_walkthrough.py
 import numpy as np
 
 from orlicz4d import (BubbleSpec, OrliczConfig, decompose, default_mollifier,
-                      profile_L, profile_cusp, synthesize_family)
+                      orlicz_norm, profile_L, profile_cusp, synthesize_family)
 
 cfg = OrliczConfig(lambda_tol=2e-4)
 rho = default_mollifier()
@@ -26,10 +26,6 @@ fam = synthesize_family(indices, lambda n: [
                mollified=False),
     BubbleSpec(alpha=float(n * n), profile=profile_cusp(), mollifier=rho,
                mollified=False)])
-
-print("tail-mass gate (no mass escaping to |x| > R):")
-for R, masses in ((np.e, fam.tail_mass(np.e)), (np.e ** 2, fam.tail_mass(np.e ** 2))):
-    print(f"  R = {R:6.2f}: " + " ".join(f"{m:.2e}" for m in masses))
 
 res = decompose(fam, cfg)
 
@@ -49,7 +45,6 @@ print(f"scale orthogonality |log(a/b)| at the last index: "
 
 print("\nremainder per-index Orlicz mass:")
 for n, m in zip(res.remainder.indices, res.remainder.members):
-    from orlicz4d import orlicz_norm
     print(f"  index {n:>2}: {orlicz_norm(m, cfg):.5f}")
 
 print("\nevents:", *res.diagnostics["events"], sep="\n  ")

@@ -10,27 +10,43 @@ decomposes finite concentrating families (decompose).  verify bundles every chec
 quantitative claim into pass/fail suites; cli exposes the lot.
 """
 
-from .bubbles import (BubbleSpec, MollifierSpec, Profile, alternative_mollifier,
-                      appendix_closed_forms, bubble_values, default_mollifier,
-                      eta_callables, lemma_add1_integrals, make_bubble, make_eta,
-                      make_falpha, narrow_mollifier,
-                      profile_L, profile_cusp, profile_orlicz_limit, profile_tent,
-                      ORLICZ_LIMIT_CONST)
-from .concentration import ConcentrationReport, gaussian_test, pair_concentration, plateau_test
-from .corpus import corpus_functions, random_smooth_radial
-from .decompose import (DecompositionResult, ScaleDetectionError, ScaleSeq,
-                        SequenceFamily, decompose, detect_scale, energy_ledger,
-                        estimate_A0, extract_profile, orthogonality_check,
-                        subtract_bubble, synthesize_family)
+from .bubbles import (ORLICZ_LIMIT_CONST, BubbleSpec, MollifierSpec, Profile,
+                      alternative_mollifier, appendix_closed_forms, bubble_values,
+                      default_mollifier, eta_callables, lemma_add1_integrals,
+                      make_bubble, make_falpha, narrow_mollifier, profile_L,
+                      profile_cusp, profile_orlicz_limit, profile_tent)
+from .concentration import gaussian_test, pair_concentration
+from .corpus import corpus_functions
+from .decompose import (DecompositionResult, ScaleDetectionError, SequenceFamily,
+                        decompose, detect_scale, energy_ledger, estimate_A0,
+                        orthogonality_check, subtract_bubble, synthesize_family)
 from .gridfn import (GridDomainError, IntegrandOverflowError, LogGrid,
                      LogRadialFunction, bubble_grid, compose_segments,
                      from_radius_samples, integrate_samples, sample_radial,
                      uniform_grid)
-from .norms import InequalityReport, NormKind, check_radial_inequalities, norm, norms_squared
-from .orlicz import (BracketExpansionError, OrliczConfig, TmResult,
-                     exp_weighted_integral, orlicz_functional, orlicz_norm,
-                     tm_functional)
-from .verify import SuiteReport, run_suite
+from .norms import NormKind, check_radial_inequalities, norm, norms_squared
+from .orlicz import (BracketExpansionError, OrliczConfig, exp_weighted_integral,
+                     orlicz_functional, orlicz_norm, tm_functional)
+from .verify import run_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each name is read outside its home module by the package, demos/ or perfbench/
+__all__ = [
+    "ORLICZ_LIMIT_CONST", "BubbleSpec", "MollifierSpec", "Profile",
+    "alternative_mollifier", "appendix_closed_forms", "bubble_values",
+    "default_mollifier", "eta_callables", "lemma_add1_integrals", "make_bubble",
+    "make_falpha", "narrow_mollifier", "profile_L", "profile_cusp",
+    "profile_orlicz_limit", "profile_tent",
+    "gaussian_test", "pair_concentration",
+    "corpus_functions",
+    "DecompositionResult", "ScaleDetectionError", "SequenceFamily", "decompose",
+    "detect_scale", "energy_ledger", "estimate_A0", "orthogonality_check",
+    "subtract_bubble", "synthesize_family",
+    "GridDomainError", "IntegrandOverflowError", "LogGrid", "LogRadialFunction",
+    "bubble_grid", "compose_segments", "from_radius_samples", "integrate_samples",
+    "sample_radial", "uniform_grid",
+    "NormKind", "check_radial_inequalities", "norm", "norms_squared",
+    "BracketExpansionError", "OrliczConfig", "exp_weighted_integral",
+    "orlicz_functional", "orlicz_norm", "tm_functional",
+    "run_suite",
+]
 __version__ = "0.1.0"

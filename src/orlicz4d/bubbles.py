@@ -28,12 +28,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .gridfn import (LogGrid, LogRadialFunction, bubble_grid, compose_segments,
-                     integrate_samples, sample_radial)
+                     integrate_samples)
 
 PI2 = np.pi ** 2
-SQRT_8PI2 = np.sqrt(8.0 * PI2)
-SQRT_32PI2 = np.sqrt(32.0 * PI2)
-ORLICZ_LIMIT_CONST = 1.0 / SQRT_32PI2  # 1/sqrt(32 pi^2) = 0.0562697...
+ORLICZ_LIMIT_CONST = 1.0 / np.sqrt(32.0 * PI2)  # 1/sqrt(32 pi^2) = 0.0562697...
 
 # start of the exterior cutoff in t = r - 1; the ramp is harmonic on [0, c]
 ETA_CUT_START = 0.3
@@ -101,23 +99,24 @@ def _step_down_d2(u):
     return out
 
 
-def _eta_ramp(t, c: float = ETA_CUT_START):
-    """w(t) = 0.5 (1 - (1+t)^{-2}) * step((t-c)/(1-c)); w(0)=0, w'(0)=1."""
-    t = np.asarray(t, dtype=float)
+def _eta_ramp(t):
+    """w(t) = 0.5 (1 - (1+t)^{-2}) * step((t-c)/(1-c)), c = ETA_CUT_START;
+    w(0)=0, w'(0)=1."""
+    t, c = np.asarray(t, dtype=float), ETA_CUT_START
     base = 0.5 * (1.0 - (1.0 + t) ** -2)
     return np.where((t > 0) & (t < 1), base * _step_down((t - c) / (1.0 - c)), 0.0)
 
 
-def _eta_ramp_d1(t, c: float = ETA_CUT_START):
-    t = np.asarray(t, dtype=float)
+def _eta_ramp_d1(t):
+    t, c = np.asarray(t, dtype=float), ETA_CUT_START
     u = (t - c) / (1.0 - c)
     base = 0.5 * (1.0 - (1.0 + t) ** -2)
     d = (1.0 + t) ** -3 * _step_down(u) + base * _step_down_d1(u) / (1.0 - c)
     return np.where((t > 0) & (t < 1), d, np.where(t == 0.0, 1.0, 0.0))
 
 
-def _eta_ramp_d2(t, c: float = ETA_CUT_START):
-    t = np.asarray(t, dtype=float)
+def _eta_ramp_d2(t):
+    t, c = np.asarray(t, dtype=float), ETA_CUT_START
     u = (t - c) / (1.0 - c)
     base = 0.5 * (1.0 - (1.0 + t) ** -2)
     d = (-3.0 * (1.0 + t) ** -4 * _step_down(u)
@@ -162,18 +161,6 @@ def eta_norm_coefficients() -> dict[str, float]:
         return 0.25 * quad(fn, 0.0, 1.0, points=pts, limit=400)[0]
 
     return {"l2": integ("l2"), "grad": integ("grad"), "lap": integ("lap")}
-
-
-def make_eta(alpha: float, n: int = 481) -> LogRadialFunction:
-    """The exterior piece eta_alpha as a log-radius function on |x| > 1.
-
-    Guarantees eta(1) = 0, eta'(1) = -1/sqrt(8 pi^2 alpha) (the C^1-matching
-    sign) and support in 1 <= r <= 2; eta, eta', eta'' all scale as
-    1/sqrt(alpha).
-    """
-    eta, _, _, _ = eta_callables(alpha)
-    return sample_radial(eta, LogGrid(np.linspace(-0.75, 0.0, n)),
-                         name=f"eta[{alpha:g}]", closed_form="eta")
 
 
 # --------------------------------------------------------------------------
@@ -257,28 +244,27 @@ class Profile:
         g = np.exp(-4.0 * self.s) * self.values ** 2
         return float(np.sqrt(max(integrate_samples(self.s, g), 0.0)))
 
-    def holder_max_ratio(self, rng: np.random.Generator, n_pairs: int = 1000) -> float:
-        """max over random pairs of |psi(a)-psi(b)| / (deriv_l2 sqrt|a-b|)."""
+    def holder_max_ratio(self, rng: np.random.Generator) -> float:
+        """max over 1000 random pairs of |psi(a)-psi(b)| / (deriv_l2 sqrt|a-b|)."""
         dl2 = self.deriv_l2
         if dl2 == 0:
             return 0.0
-        a = rng.uniform(0.0, self.span, n_pairs)
-        b = rng.uniform(0.0, self.span, n_pairs)
+        a = rng.uniform(0.0, self.span, 1000)
+        b = rng.uniform(0.0, self.span, 1000)
         keep = np.abs(a - b) > 1e-12
         a, b = a[keep], b[keep]
         num = np.abs(self.eval(a) - self.eval(b))
         return float(np.max(num / (dl2 * np.sqrt(np.abs(a - b)))))
 
 
-def _profile_grid(s_max: float, n: int) -> np.ndarray:
-    # corner-friendly sampling: exact nodes at 1 and 2
-    knots = [x for x in (0.0, 1.0, 2.0, s_max) if x <= s_max]
-    segs = [(knots[i], knots[i + 1], max(int(n * (knots[i + 1] - knots[i]) / s_max), 16))
-            for i in range(len(knots) - 1)]
+def _profile_grid() -> np.ndarray:
+    # about 2049 nodes on [0, 10], corner-friendly: exact nodes at 1 and 2
+    knots = (0.0, 1.0, 2.0, 10.0)
+    segs = [(a, b, int(2049 * (b - a) / 10.0)) for a, b in zip(knots, knots[1:])]
     return compose_segments(segs).nodes
 
 
-def profile_L(s_max: float = 10.0, n: int = 2049) -> Profile:
+def profile_L() -> Profile:
     """The canonical profile: L(t) = t on [0,1), 1 on [1, inf), 0 below 0."""
     def fn(y):
         return np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
@@ -287,11 +273,11 @@ def profile_L(s_max: float = 10.0, n: int = 2049) -> Profile:
         y = np.asarray(y, dtype=float)
         return ((y > 0) & (y < 1)).astype(float)
 
-    s = _profile_grid(s_max, n)
+    s = _profile_grid()
     return Profile(s, fn(s), tag="L", fn=fn, dfn=dfn)
 
 
-def profile_tent(s_max: float = 10.0, n: int = 2049) -> Profile:
+def profile_tent() -> Profile:
     """Compactly supported tent: up on [0,1], down on [1,2], 0 beyond."""
     def fn(y):
         y = np.asarray(y, dtype=float)
@@ -301,11 +287,11 @@ def profile_tent(s_max: float = 10.0, n: int = 2049) -> Profile:
         y = np.asarray(y, dtype=float)
         return np.where((y > 0) & (y < 1), 1.0, np.where((y > 1) & (y < 2), -1.0, 0.0))
 
-    s = _profile_grid(s_max, n)
+    s = _profile_grid()
     return Profile(s, fn(s), tag="tent", fn=fn, dfn=dfn)
 
 
-def profile_cusp(s_max: float = 10.0, n: int = 2049) -> Profile:
+def profile_cusp() -> Profile:
     """psi(t) = min(t^{3/2}, 1): superlinear toe, plateau from t = 1.
 
     Same Orlicz limit as L (max psi/sqrt(t) = 1 at t = 1) but its bubble
@@ -320,7 +306,7 @@ def profile_cusp(s_max: float = 10.0, n: int = 2049) -> Profile:
         y = np.asarray(y, dtype=float)
         return np.where((y > 0) & (y < 1), 1.5 * np.sqrt(np.clip(y, 0.0, None)), 0.0)
 
-    s = _profile_grid(s_max, n)
+    s = _profile_grid()
     return Profile(s, fn(s), tag="cusp", fn=fn, dfn=dfn)
 
 
@@ -342,13 +328,13 @@ def profile_orlicz_limit(psi: Profile) -> float:
     return ORLICZ_LIMIT_CONST * best
 
 
-def _golden_min(fun, lo: float, hi: float, iters: int = 60) -> float:
+def _golden_min(fun, lo: float, hi: float) -> float:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -441,17 +427,15 @@ def alternative_mollifier() -> MollifierSpec:
     return MollifierSpec(-0.1, 0.6, name="shifted-bump")
 
 
-def narrow_mollifier(width: float = 0.3) -> MollifierSpec:
-    """Bump supported in [-width, width] (still inside [-1, 1]).
+def narrow_mollifier() -> MollifierSpec:
+    """Bump supported in [-0.3, 0.3].
 
-    Mollified bubbles spill onto |x| > 1 over a layer of width/alpha in the
+    Mollified bubbles spill onto |x| > 1 over a layer of 0.3/alpha in the
     profile variable; a narrow bump shrinks that layer, which matters when a
     remainder's Orlicz mass is dominated by the spill-over (the e^{-4s}
     weight is largest there).
     """
-    if not 0 < width <= 1:
-        raise ValueError("width must lie in (0, 1]")
-    return MollifierSpec(0.0, width, name=f"narrow-bump-{width:g}")
+    return MollifierSpec(0.0, 0.3, name="narrow-bump-0.3")
 
 
 def mollified_profile_values(psi: Profile, alpha: float, rho: MollifierSpec, y):
@@ -611,9 +595,8 @@ def falpha_interface_gaps(alpha: float) -> dict[str, float]:
             "v_at_ealpha": gap_va, "dv_at_ealpha": gap_dva}
 
 
-def _geometric_offsets(h0: float, h_cap: float, span: float,
-                       ratio: float = 1.12) -> np.ndarray:
-    """Offsets 0 < d_1 < ... = span with spacing growing h0 -> h_cap.
+def _geometric_offsets(h0: float, h_cap: float, span: float) -> np.ndarray:
+    """Offsets 0 < d_1 < ... = span with spacing growing h0 -> h_cap by 1.12.
 
     Gentle spacing growth keeps the nonuniform 3-point stencils second
     order; the list is rescaled so the last offset lands exactly on span.
@@ -623,24 +606,24 @@ def _geometric_offsets(h0: float, h_cap: float, span: float,
     while x < span:
         x += h
         out.append(x)
-        h = min(h * ratio, h_cap)
+        h = min(h * 1.12, h_cap)
     d = np.asarray(out)
     return d * (span / d[-1])
 
 
-def falpha_grid(alpha: float, h_kink: float = 5e-4, refine: float = 1.0) -> LogGrid:
+def falpha_grid(alpha: float, refine: float = 1.0) -> LogGrid:
     """Graded grid with geometric clusters at the curvature kinks s = 0, alpha.
 
-    Spacing starts at h_kink beside each kink and expands smoothly; abrupt
+    Spacing starts at 5e-4 beside each kink and expands smoothly; abrupt
     spacing jumps would cost the finite-difference Laplacian its second
     order right where |v''| jumps.  ``refine`` scales all spacings down for
     oracle-grade comparisons.
     """
     a = float(alpha)
     left = np.linspace(-0.75, 0.0, int(1400 * refine))
-    up0 = _geometric_offsets(h_kink / refine, a / (250.0 * refine), a / 2.0)
+    up0 = _geometric_offsets(5e-4 / refine, a / (250.0 * refine), a / 2.0)
     dn_a = a - up0[::-1]
-    tail = a + _geometric_offsets(h_kink / refine, 0.03 / refine, 14.0)
+    tail = a + _geometric_offsets(5e-4 / refine, 0.03 / refine, 14.0)
     nodes = np.unique(np.concatenate([left, up0, dn_a[:-1], [a], tail]))
     return LogGrid(nodes)
 

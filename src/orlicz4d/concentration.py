@@ -25,7 +25,7 @@ n eps sum |w f| of its n-node sum.  The test function phi is called with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,14 +60,7 @@ class ConcentrationReport:
     phi_at_zero: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "pairing_lap": self.pairing_lap,
-            "pairing_exp": self.pairing_exp,
-            "split": self.split,
-            "split_error": self.split_error,
-            "phi_at_zero": self.phi_at_zero,
-        }
+        return asdict(self)
 
 
 def gaussian_test(r):

@@ -17,22 +17,17 @@ R_SUPPORT = 4.0
 N_KNOTS = 9
 
 
-def corpus_grid(n: int = 1400) -> LogGrid:
-    # span covers r in (e^-10, 4.3]; r > 4 carries only zeros of u
-    return compose_segments([(-np.log(R_SUPPORT) - 0.08, 2.0, 2 * n // 3),
-                             (2.0, 10.0, n // 3)])
+def corpus_grid() -> LogGrid:
+    # 1398 nodes spanning r in (e^-10, 4.3]; r > 4 carries only zeros of u
+    return compose_segments([(-np.log(R_SUPPORT) - 0.08, 2.0, 933), (2.0, 10.0, 466)])
 
 
-def random_smooth_radial(rng: np.random.Generator,
-                         grid: LogGrid | None = None,
-                         amplitude: float = 1.0) -> LogRadialFunction:
-    if grid is None:
-        grid = corpus_grid()
+def _random_smooth_radial(rng: np.random.Generator, grid: LogGrid) -> LogRadialFunction:
     knots = np.linspace(0.0, R_SUPPORT, N_KNOTS)
-    y = rng.normal(0.0, amplitude, N_KNOTS)
+    y = rng.normal(0.0, 1.0, N_KNOTS)
     y[-1] = 0.0
     if np.allclose(y, 0.0):
-        y[N_KNOTS // 2] = amplitude  # never return the zero function
+        y[N_KNOTS // 2] = 1.0  # never return the zero function
     sp = CubicSpline(knots, y, bc_type="clamped")
 
     def u_of_r(r):
@@ -51,4 +46,4 @@ def random_smooth_radial(rng: np.random.Generator,
 def corpus_functions(seed: int, count: int) -> list[LogRadialFunction]:
     rng = np.random.default_rng(seed)
     grid = corpus_grid()
-    return [random_smooth_radial(rng, grid) for _ in range(count)]
+    return [_random_smooth_radial(rng, grid) for _ in range(count)]

@@ -22,13 +22,14 @@ from scipy.interpolate import CubicSpline
 from .bubbles import (BubbleSpec, MollifierSpec, Profile, bubble_values,
                       default_mollifier, narrow_mollifier)
 from .gridfn import LogGrid, LogRadialFunction, compose_segments, integrate_samples
-from .norms import TWO_PI2, NormKind, norm
+from .norms import NormKind, norm
 from .orlicz import OrliczConfig, orlicz_norm
 
 _W_TIE_ULPS = 128.0
-_SCALE_MIN = 2.0       # a pursuit step needs a last-index scale at least this deep
+_SCALE_MIN = 2.0       # a pursuit step needs every scale at least this deep
 _Y_MAX = 1.5           # profile snapshots live on y in [0, _Y_MAX] ...
 _N_Y = 1537            # ... sampled at _N_Y equispaced nodes
+_D_MIN = 1.5           # orthogonal scales end at least this far apart in log
 
 # subtraction mollifiers tried by decompose's first step, in order of
 # preference; built once so each normalizing quadrature runs once per process
@@ -64,19 +65,6 @@ class SequenceFamily:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def tail_mass(self, R: float) -> list[float]:
-        """||u_n||_{L2(|x|>R)} per member (compactness-at-infinity diagnostic)."""
-        out = []
-        for m in self.members:
-            s = m.grid.nodes
-            sel = s <= -np.log(R)
-            if np.count_nonzero(sel) < 4:
-                out.append(0.0)
-                continue
-            g = np.exp(-4.0 * s[sel]) * m.values[sel] ** 2
-            out.append(float(np.sqrt(max(TWO_PI2 * integrate_samples(s[sel], g), 0.0))))
-        return out
 
 
 @dataclass
@@ -168,18 +156,15 @@ def _argmax_largest(W: np.ndarray, tie: float) -> int:
     return int(np.nonzero(W >= wmax - tie)[0][-1])
 
 
-def extract_profile(family: SequenceFamily, scales: ScaleSeq) -> Profile:
-    """Profile snapshot at the largest index on a fixed y-grid in [0, Y].
+def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
+                  i_prev: int) -> Profile:
+    """Profile snapshot at position i_last on a fixed y-grid in [0, Y].
 
     psi_n(y) = sqrt(8 pi^2 / alpha_n) v_n(alpha_n y); the returned profile
-    is psi at the last index with psi(y <= 0) forced to 0, carrying the
-    stabilization diagnostic ||psi_{n_N} - psi_{n_{N-1}}||_{L2[0,Y]}.
+    is psi at i_last, cleaned against i_prev (_stabilized_snapshot), with
+    psi(y <= 0) forced to 0.  It carries the stabilization diagnostic
+    ||psi_{n_last} - psi_{n_prev}||_{L2[0,Y]} of the raw snapshots.
     """
-    return _extract_pair(family, scales, family.size - 1, family.size - 2)
-
-
-def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
-                  i_prev: int, stabilize: bool = False) -> Profile:
     y_cap = min([_Y_MAX] + [family.members[i].grid.s_max / scales.alpha[i]
                             for i in (i_last, i_prev)])
     y = np.linspace(0.0, y_cap, _N_Y)
@@ -194,11 +179,9 @@ def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
     psi_prev = snapshot(i_prev)
     psi_last[0] = 0.0
     diff = psi_last - psi_prev
-    values = psi_last
-    if stabilize:
-        values = _stabilized_snapshot(y, psi_last, psi_prev,
-                                      family.indices[i_last], family.indices[i_prev])
-        values[0] = 0.0
+    values = _stabilized_snapshot(y, psi_last, psi_prev,
+                                  family.indices[i_last], family.indices[i_prev])
+    values[0] = 0.0
     psi = Profile(y, values, tag="extracted")   # its grid's weights serve deriv_l2 too
     psi.stabilization = float(np.sqrt(max(integrate_samples(psi.s, diff * diff), 0.0)))
     return psi
@@ -303,14 +286,14 @@ def energy_ledger(family: SequenceFamily, remainder: SequenceFamily,
     return float(abs(after - before + 0.25 * psi.deriv_l2 ** 2) / before)
 
 
-def orthogonality_check(a: ScaleSeq, b: ScaleSeq, d_min: float = 1.5) -> OrthogonalityReport:
+def orthogonality_check(a: ScaleSeq, b: ScaleSeq) -> OrthogonalityReport:
     """d_n = |log(a_n/b_n)|; orthogonal iff d increases over the last three
-    indices and d at the last index is at least d_min."""
+    indices and d at the last index is at least _D_MIN."""
     if a.alpha.size != b.alpha.size:
         raise ValueError("scale sequences must share the index set")
     d = np.abs(np.log(a.alpha / b.alpha))
     inc = bool(d[-3] < d[-2] < d[-1]) if d.size >= 3 else bool(d[-1] > d[0])
-    return OrthogonalityReport(d=d, orthogonal=inc and d[-1] >= d_min, d_min=d_min)
+    return OrthogonalityReport(d=d, orthogonal=inc and d[-1] >= _D_MIN, d_min=_D_MIN)
 
 
 # --------------------------------------------------------------------------
@@ -387,27 +370,30 @@ def _detect_family(family: SequenceFamily, A_ref: float) -> tuple[dict[int, floa
 
 
 def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
-              stop_frac: float = 0.1, max_profiles: int = 5,
-              rho: MollifierSpec | None = None) -> DecompositionResult:
+              stop_frac: float = 0.1, max_profiles: int = 5) -> DecompositionResult:
     """Greedy pursuit: estimate A_0, then per step detect the scales, extract
     the profile, subtract its mollified bubble and re-estimate the Orlicz mass.
+    It stops once the mass is at most stop_frac * A_0 (0 < stop_frac < 1) or
+    after max_profiles >= 1 components.
 
     The mollifier is asymptotically immaterial, but at finite n it decides
-    whether the mass reaches stop_frac * A_0.  Unless ``rho`` is given, the
-    first step subtracts with each shipped bump (narrow, then standard) and
-    keeps the remainder of least mass; the first bump stays unless another
-    beats it by more than the norm's resolution.  Later steps reuse the
+    whether the mass reaches stop_frac * A_0.  The first step subtracts with
+    each bump of _RHO_CANDIDATES (narrow, then standard) and keeps the
+    remainder of least mass; the first bump stays unless another beats it
+    by more than the norm's resolution.  Later steps reuse the
     kept bump.  A step whose remainder has a larger mass (beyond that
     resolution) is dropped and ends the pursuit, so the reported A-history is
     nonincreasing and each ledger entry belongs to a kept component.
     Detection failures at individual indices are tolerated (subsequence
     surrogate): those scales are imputed log-linearly.
     """
+    if not 0.0 < stop_frac < 1.0:
+        raise ValueError(f"stop_frac must lie in (0, 1), got {stop_frac}")
+    if max_profiles < 1:
+        raise ValueError(f"max_profiles must be at least 1, got {max_profiles}")
     cfg = cfg or OrliczConfig()
-    rho_candidates = (rho,) if rho is not None else _RHO_CANDIDATES
+    rho_candidates = _RHO_CANDIDATES
     diagnostics: dict = {
-        "tail_mass": {f"R=e^{k}": family.tail_mass(float(np.exp(k)))
-                      for k in (1, 2, 3)},
         "events": [],
         "stabilization": [],
         "detect_failures": [],
@@ -434,13 +420,13 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         alpha, repaired = _monotone_repair(_impute_scales(family.indices, found))
         if repaired:
             events.append("scale sequence monotonized")
-        if alpha[-1] < _SCALE_MIN:
-            events.append(f"detected scale {alpha[-1]:.3g} below scale_min={_SCALE_MIN:g}")
+        if alpha[0] < _SCALE_MIN:   # the least scale, after the repair
+            events.append(f"detected scale {alpha[0]:.3g} below scale_min={_SCALE_MIN:g}")
             break
         scales = ScaleSeq(alpha)
 
         ok = sorted(found)
-        psi = _extract_pair(working, scales, ok[-1], ok[-2], stabilize=True)
+        psi = _extract_pair(working, scales, ok[-1], ok[-2])
         diagnostics["stabilization"].append(psi.stabilization)
 
         # candidates subtract where estimate_A0 reads; the kept one completes

@@ -84,9 +84,9 @@ class LogGrid:
     def s_max(self) -> float:
         return float(self.nodes[-1])
 
-    def require_norm_grade(self, n_min: int = MIN_NORM_NODES) -> None:
-        if self.size < n_min:
-            raise ValueError(f"operation needs >= {n_min} nodes, grid has {self.size}")
+    def require_norm_grade(self) -> None:
+        if self.size < MIN_NORM_NODES:
+            raise ValueError(f"operation needs >= {MIN_NORM_NODES} nodes, grid has {self.size}")
 
 
 def uniform_grid(s_min: float, s_max: float, n: int) -> LogGrid:
@@ -110,8 +110,7 @@ def compose_segments(segments: list[tuple[float, float, int]]) -> LogGrid:
     return LogGrid(np.concatenate(parts))
 
 
-def bubble_grid(alpha: float, n_bubble: int = 2048, s_lo: float = -1.5,
-                tail: float = 14.0) -> LogGrid:
+def bubble_grid(alpha: float, n_bubble: int = 2048) -> LogGrid:
     """Graded grid for scale-alpha bubbles: nodes cluster in [0, 1.5 alpha].
 
     Spacing in the active region is <= alpha / n_bubble; the corner of the
@@ -123,10 +122,10 @@ def bubble_grid(alpha: float, n_bubble: int = 2048, s_lo: float = -1.5,
     n_core = max(int(n_bubble), 256)
     n_head = max(24, n_core // 32)
     return compose_segments([
-        (s_lo, 0.0, n_head),
+        (-1.5, 0.0, n_head),
         (0.0, float(alpha), 2 * n_core // 3),
         (float(alpha), 1.5 * float(alpha), n_core // 3),
-        (1.5 * float(alpha), 1.5 * float(alpha) + tail, max(64, n_core // 16)),
+        (1.5 * float(alpha), 1.5 * float(alpha) + 14.0, max(64, n_core // 16)),
     ])
 
 
@@ -366,12 +365,7 @@ def from_radius_samples(r_points, u_values, name: str = "") -> LogRadialFunction
 
 
 def sample_radial(u_of_r: Callable[[np.ndarray], np.ndarray], grid: LogGrid,
-                  name: str = "", closed_form: str | None = None,
-                  keep_generator: bool = True) -> LogRadialFunction:
-    """Sample u(r) on a log grid; optionally retain u as the analytic generator."""
-    r = np.exp(-grid.nodes)
-    gen = None
-    if keep_generator:
-        gen = lambda s: np.asarray(u_of_r(np.exp(-np.asarray(s, dtype=float))))
-    return LogRadialFunction(grid, np.asarray(u_of_r(r), dtype=float),
-                             name=name, closed_form=closed_form, generator=gen)
+                  name: str = "") -> LogRadialFunction:
+    """Sample u(r) on a log grid."""
+    return LogRadialFunction(grid, np.asarray(u_of_r(np.exp(-grid.nodes)), dtype=float),
+                             name=name)

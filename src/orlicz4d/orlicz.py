@@ -34,27 +34,25 @@ from .norms import TWO_PI2, NormKind, norm
 EXP_CAP = 700.0          # exp argument ceiling before declaring overflow
 _SMALL_EXPONENT = 45.0   # below this use expm1 for full relative accuracy
 _EXP_ZERO = -746.0       # exp of this or anything below is 0.0
+_MAX_ITER = 200          # J evaluations the lambda search may spend
 
 
 @dataclass
 class OrliczConfig:
-    """kappa, relative tolerance and evaluation cap for the lambda search."""
+    """kappa and relative tolerance for the lambda search."""
 
     kappa: float = 1.0
     lambda_tol: float = 1e-4
-    max_iter: int = 200
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if not 0.0 < self.lambda_tol < 1e-2:
             raise ValueError("lambda_tol must lie in (0, 1e-2)")
-        if self.max_iter < 8:
-            raise ValueError("max_iter too small")
 
 
 class BracketExpansionError(RuntimeError):
-    """No lambda bracket was certified within max_iter evaluations of J."""
+    """No lambda bracket was certified within _MAX_ITER evaluations of J."""
 
 
 class TmResult(NamedTuple):
@@ -170,7 +168,7 @@ def orlicz_norm(f: LogRadialFunction, cfg: OrliczConfig | None = None) -> float:
     lo, hi = -math.inf, math.inf        # log lambda with J > kappa / J <= kappa
     x, slope = _seed(unit, cfg.kappa)
     last: tuple[float, float] | None = None   # latest finite (x, F)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         F = _log_excess(unit, x, cfg.kappa)
         if F > 0:
             lo = x
@@ -191,7 +189,7 @@ def orlicz_norm(f: LogRadialFunction, cfg: OrliczConfig | None = None) -> float:
             else:
                 x = lo + math.log(2.0) if math.isfinite(lo) else hi - math.log(2.0)
     raise BracketExpansionError(
-        f"no lambda bracket certified within {cfg.max_iter} evaluations")
+        f"no lambda bracket certified within {_MAX_ITER} evaluations")
 
 
 def _next_point(lo: float, hi: float, last: tuple[float, float] | None,

@@ -18,7 +18,8 @@ import numpy as np
 from . import bubbles as bb
 from . import concentration as conc
 from .corpus import corpus_functions
-from .decompose import BubbleSpec, a0_window, decompose, detect_scale, synthesize_family
+from .decompose import (BubbleSpec, a0_window, decompose, detect_scale, orthogonality_check,
+                        synthesize_family)
 from .gridfn import LogRadialFunction
 from .norms import NormKind, check_radial_inequalities, norm, norms_squared
 from .orlicz import OrliczConfig, orlicz_norm_report, tm_functional
@@ -87,11 +88,11 @@ def _norm(f: LogRadialFunction, cfg: OrliczConfig) -> tuple[float, float]:
 # suite: randomized radial inequalities
 # --------------------------------------------------------------------------
 
-def suite_inequalities(seed: int = 7, count: int = 200) -> SuiteReport:
-    """count seeded smooth radial functions against both radial inequalities."""
+def suite_inequalities(seed: int = 7) -> SuiteReport:
+    """200 seeded smooth radial functions against both radial inequalities."""
     t0 = time.time()
     rep = SuiteReport("inequalities", seed)
-    for k, f in enumerate(corpus_functions(seed, count)):
+    for k, f in enumerate(corpus_functions(seed, 200)):
         r = check_radial_inequalities(f, r_floor=0.1, slack=1e-6)
         rep.add(f"half-laplacian bound #{k}", r.invr_grad, r.half_lap,
                 1e-6 * max(r.half_lap, 1e-300), "quadrature oracle",
@@ -244,7 +245,7 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
     for prof in (L, bb.profile_tent(), bb.profile_cusp()):
         rep.add(f"profile[{prof.tag}] vanishes at 0", abs(float(prof.eval(0.0))),
                 0.0, 1e-12, "construction")
-        ratio = prof.holder_max_ratio(rng, 1000)
+        ratio = prof.holder_max_ratio(rng)
         rep.add(f"profile[{prof.tag}] Hoelder certificate", ratio, 1.0, 1e-6,
                 "property", passed=ratio <= 1 + 1e-6)
     for spec in (rho, bb.alternative_mollifier(), bb.narrow_mollifier()):
@@ -273,13 +274,12 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
 # suite: decomposition
 # --------------------------------------------------------------------------
 
-def two_bubble_family(indices=(8, 16, 32, 64)):
-    """The synthesized two-orthogonal-bubble family: plateau profile at scale
-    n, cusp profile at scale n^2 (pure bubbles; see make_bubble for why)."""
-    rho = bb.default_mollifier()
-    L = bb.profile_L()
-    cusp = bb.profile_cusp()
-    return synthesize_family(list(indices), lambda n: [
+def two_bubble_family():
+    """The synthesized two-orthogonal-bubble family at n = 8, 16, 32, 64:
+    plateau profile at scale n, cusp profile at scale n^2 (pure bubbles; see
+    make_bubble for why)."""
+    rho, L, cusp = bb.default_mollifier(), bb.profile_L(), bb.profile_cusp()
+    return synthesize_family([8, 16, 32, 64], lambda n: [
         BubbleSpec(alpha=float(n), profile=L, mollifier=rho, mollified=False),
         BubbleSpec(alpha=float(n * n), profile=cusp, mollifier=rho, mollified=False),
     ])
@@ -310,6 +310,9 @@ def suite_decomposition(seed: int = 7) -> SuiteReport:
         rep.add("scale orthogonality metric", res.orthogonality_matrix[0, 1],
                 np.log(8), 0.0, "construction",
                 passed=res.orthogonality_matrix[0, 1] >= np.log(8))
+        orth = orthogonality_check(*(sc for sc, _ in res.components))
+        rep.add("scale orthogonality |log(a_n/b_n)| increasing", orth.d[-1], orth.d_min,
+                0.0, "construction", passed=orth.orthogonal)
         for j, (sc, psi) in enumerate(res.components):
             bound = 0.9 * SQRT_6PI2 * res.A_history[j]
             rep.add(f"extracted derivative mass, component {j}", psi.deriv_l2,

@@ -1,192 +1,101 @@
-"""Acceptance gate: every criterion at its stated tolerance, one line each.
+"""Acceptance gate: every verify suite at seed 7, one line per check.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass/fail lines with the measured values.
+Each criterion test names the verify rows that carry it and asserts that
+every one of them exists and passed; `test_verify_suite_passes` asserts
+every row of every suite. Each suite runs once per session.
+
+Run with `pytest tests/test_acceptance.py -v -s` to see each row with its
+measured value, target and tolerance.
 """
 
-import numpy as np
+import functools
+
 import pytest
 
-from orlicz4d import bubbles as bb
-from orlicz4d import concentration as conc
-from orlicz4d.corpus import corpus_functions
-from orlicz4d.decompose import decompose, detect_scale
-from orlicz4d.norms import check_radial_inequalities, norms_squared
-from orlicz4d.orlicz import OrliczConfig, orlicz_norm
-from orlicz4d.verify import SQRT_6PI2, two_bubble_family, _local_cell
-
-PI2 = np.pi ** 2
+from orlicz4d.verify import SUITES, run_suite
 
 
-def report(criterion: str, ok: bool, detail: str) -> bool:
-    print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
-    return ok
+@functools.cache
+def _rows(suite: str) -> dict:
+    (rep,) = run_suite(suite, 7)
+    return {row.name: row for row in rep.rows}
+
+
+def _assert_rows_pass(suite: str, names: list[str]) -> None:
+    rows = _rows(suite)
+    missing = [n for n in names if n not in rows]
+    assert not missing, f"{suite} suite has no rows {missing}"
+    for n in names:
+        print(rows[n].line())
+    failed = [rows[n].line() for n in names if not rows[n].passed]
+    assert not failed, "\n".join(failed)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_verify_suite_passes(name):
+    rows = _rows(name).values()
+    for row in rows:
+        print(row.line())
+    failed = [row.line() for row in rows if not row.passed]
+    assert not failed, "\n".join(failed)
 
 
 def test_criterion_1_falpha_orlicz_norm():
-    cfg = OrliczConfig(kappa=1.0, lambda_tol=1e-4)
-    errs, brackets_ok = [], True
-    for a in (25, 50, 100):
-        lam = orlicz_norm(bb.make_falpha(a), cfg)
-        errs.append(abs(lam - 0.05627))
-        bracket_sq = 1.0 / (32 * PI2 + (8 * PI2 / a)
-                            * np.log(2 * cfg.kappa / PI2 + np.exp(-4 * a)))
-        brackets_ok &= lam ** 2 >= bracket_sq * (1 - 1e-12)
-    ok = errs[0] > errs[1] > errs[2] and errs[2] <= 0.002 and brackets_ok
-    assert report("criterion 1 (orlicz norm of f_alpha)", ok,
-                  f"errors {['%.3g' % e for e in errs]} decreasing, "
-                  f"<=0.002 at alpha=100, bracket holds: {brackets_ok}")
+    _assert_rows_pass("falpha", [
+        *(f"orlicz {kind} alpha={a}" for a in (25, 50, 100)
+          for kind in ("norm", "bracket")),
+        "orlicz error decreasing in alpha"])
 
 
 def test_criterion_2_appendix_norms():
-    ok = True
-    worst = 0.0
-    for a in (5, 10, 25, 50):
-        sq = norms_squared(bb.make_falpha(a))
-        rec = bb.appendix_closed_forms(a)
-        for got, want in ((sq["l2"], rec.l2_total), (sq["grad"], rec.grad_total),
-                          (sq["lap"], rec.lap_total)):
-            rel = abs(got - want) / want
-            worst = max(worst, rel)
-            ok &= rel <= 1e-4
-        lo, hi = 1 + 1 / a, 1 + 1 / a + bb.ETA_LAP_COEF / a * 1.01
-        ok &= lo <= sq["lap"] <= hi
-    assert report("criterion 2 (appendix norms of f_alpha)", ok,
-                  f"worst relative error {worst:.2e} (tol 1e-4), "
-                  f"laplacian in band at all alpha")
+    _assert_rows_pass("falpha", [
+        *(f"{k} norm^2 vs closed forms alpha={a}" for a in (5, 10, 25, 50)
+          for k in ("l2", "grad", "lap")),
+        *(f"lap norm^2 band alpha={a}" for a in (5, 10, 25, 50))])
 
 
 def test_criterion_3_concentration():
-    errs = {k: [] for k in ("lap", "exp", "inner", "annulus")}
-    for a in (20, 40, 80):
-        r = conc.pair_concentration(a, conc.gaussian_test)
-        p0 = r.phi_at_zero
-        errs["lap"].append(abs(r.pairing_lap - p0) / p0)
-        errs["exp"].append(abs(r.pairing_exp - conc.EXP_TOTAL_LIMIT * p0)
-                           / (conc.EXP_TOTAL_LIMIT * p0))
-        errs["inner"].append(abs(r.split["exp"]["inner"] - conc.EXP_INNER_LIMIT * p0)
-                             / (conc.EXP_INNER_LIMIT * p0))
-        errs["annulus"].append(abs(r.split["exp"]["annulus"]
-                                   - conc.EXP_ANNULUS_LIMIT * p0)
-                               / (conc.EXP_ANNULUS_LIMIT * p0))
-    ok = (errs["lap"][-1] <= 0.03 and errs["exp"][-1] <= 0.10
-          and errs["inner"][-1] <= 0.10 and errs["annulus"][-1] <= 0.10
-          and all(e[0] > e[1] > e[2] for e in errs.values()))
-    assert report("criterion 3 (concentration pairings)", ok,
-                  "errors at alpha=80: "
-                  + ", ".join(f"{k}={v[-1]*100:.2f}%" for k, v in errs.items())
-                  + "; all four ladders decreasing")
+    _assert_rows_pass("concentration", [
+        "lap pairing alpha=80", "exp pairing alpha=80",
+        "exp inner split alpha=80", "exp annulus split alpha=80",
+        *(f"{k} error decreasing over alpha ladder"
+          for k in ("lap", "exp", "inner", "annulus"))])
 
 
 def test_criterion_4_log_weight_integrals():
-    errs4, errs3 = [], []
-    for a in (25, 50, 100, 200):
-        i4, i3 = bb.lemma_add1_integrals(a)
-        errs4.append(abs(i4 - 0.2))
-        errs3.append(abs(i3 - 0.5))
-    at100 = (errs4[2] <= 0.02 and errs3[2] <= 0.02)
-    decr = all(x > y for x, y in zip(errs4, errs4[1:])) \
-        and all(x > y for x, y in zip(errs3, errs3[1:]))
-    assert report("criterion 4 (log-weight integrals)", at100 and decr,
-                  f"alpha=100 errors r4={errs4[2]:.4f} r3={errs3[2]:.4f} "
-                  f"(tol 0.02); ladders decreasing: {decr}")
+    _assert_rows_pass("concentration", [
+        "log-weight r^4 integral alpha=100", "log-weight r^3 integral alpha=100",
+        *(f"r^{p} error decreasing at alpha={a}" for a in (50, 100, 200)
+          for p in (4, 3))])
 
 
 def test_criterion_5_inequality_suites():
-    n_pass = 0
-    count = 200
-    for f in corpus_functions(seed=7, count=count):
-        rep = check_radial_inequalities(f, r_floor=0.1, slack=1e-6)
-        n_pass += rep.all_pass
-    assert report("criterion 5 (randomized radial inequalities)",
-                  n_pass == count, f"{n_pass}/{count} functions pass both "
-                  "bounds at slack 1e-6")
+    _assert_rows_pass("inequalities", [
+        f"{kind} bound #{i}" for i in range(200)
+        for kind in ("half-laplacian", "pointwise decay")])
 
 
 def test_criterion_6_bubble_orlicz():
-    cfg = OrliczConfig(lambda_tol=1e-4)
-    rho = bb.default_mollifier()
-    L = bb.profile_L()
-    errs, gh_gap, lam_g = [], None, None
-    for a in (50, 100, 200):
-        g = bb.make_bubble(bb.BubbleSpec(alpha=a, profile=L, mollifier=rho))
-        lam_g = orlicz_norm(g, cfg)
-        errs.append(abs(lam_g - 0.05627) / 0.05627)
-        if a == 200:
-            h = bb.make_bubble(bb.BubbleSpec(alpha=a, profile=L, mollifier=rho,
-                                             mollified=False))
-            gh_gap = abs(lam_g - orlicz_norm(h, cfg))
-    g_alt = bb.make_bubble(bb.BubbleSpec(alpha=200.0, profile=L,
-                                         mollifier=bb.alternative_mollifier()))
-    moll_gap = abs(orlicz_norm(g_alt, cfg) - lam_g)
-    ok = (errs[0] > errs[1] > errs[2] and errs[2] <= 0.02
-          and gh_gap <= 0.01 * lam_g and moll_gap <= 0.01 * lam_g)
-    assert report("criterion 6 (bubble orlicz limit)", ok,
-                  f"errors {['%.3g' % e for e in errs]} decreasing, "
-                  f"<=2% at 200; |g-h|={gh_gap:.2e}<=1%; "
-                  f"mollifier gap={moll_gap:.2e}<=1%")
+    _assert_rows_pass("bubbles", [
+        "bubble orlicz limit alpha=200", "pure vs mollified orlicz gap alpha=200",
+        "bubble orlicz error decreasing", "mollifier independence alpha=200"])
 
 
 def test_criterion_7_sum_of_orthogonal_bubbles():
-    cfg = OrliczConfig(lambda_tol=1e-4)
-    rho = bb.default_mollifier()
-    tent, cusp = bb.profile_tent(), bb.profile_cusp()
-    n = 32
-    from orlicz4d.decompose import synthesize_family
-    fam = synthesize_family([n // 4, n // 2, n], lambda m: [
-        bb.BubbleSpec(alpha=float(m), profile=tent, mollifier=rho),
-        bb.BubbleSpec(alpha=float(m * m), profile=cusp, mollifier=rho)])
-    lam_sum = orlicz_norm(fam.members[-1], cfg)
-    l1 = orlicz_norm(bb.make_bubble(bb.BubbleSpec(alpha=float(n), profile=tent,
-                                                  mollifier=rho)), cfg)
-    l2 = orlicz_norm(bb.make_bubble(bb.BubbleSpec(alpha=float(n * n), profile=cusp,
-                                                  mollifier=rho)), cfg)
-    mx = max(l1, l2)
-    rel = abs(lam_sum - mx) / mx
-    assert report("criterion 7 (two-bubble sum orlicz)", rel <= 0.05,
-                  f"|sum|={lam_sum:.5f} vs max part {mx:.5f}: {rel*100:.2f}% (tol 5%)")
+    _assert_rows_pass("bubbles", ["two-bubble sum orlicz vs max part (n=32)"])
 
 
 def test_criterion_8_decomposition_recovery():
-    cfg = OrliczConfig(lambda_tol=2e-4)
-    fam = two_bubble_family()
-    res = decompose(fam, cfg)
-    A0 = res.A_history[0]
-    checks = {"two components": len(res.components) == 2}
-    if checks["two components"]:
-        lasts = sorted(sc.last() for sc, _ in res.components)
-        checks["scale near 64"] = abs(lasts[0] - 64.0) \
-            <= _local_cell(fam.members[-1], 64.0)
-        checks["scale near 4096"] = abs(lasts[1] - 4096.0) \
-            <= _local_cell(fam.members[-1], 4096.0)
-        checks["orthogonality >= log 8"] = \
-            res.orthogonality_matrix[0, 1] >= np.log(8.0)
-        checks["derivative mass bounds"] = all(
-            psi.deriv_l2 >= 0.9 * SQRT_6PI2 * res.A_history[j]
-            for j, (_, psi) in enumerate(res.components))
-        checks["ledger <= 5% per iteration"] = all(l <= 0.05 for l in res.ledger)
-        checks["final mass <= 0.1 A0"] = res.A_history[-1] <= 0.1 * A0
-        tol = 1.0 + 2.0 * cfg.lambda_tol
-        checks["A history nonincreasing"] = all(
-            b <= a * tol for a, b in zip(res.A_history, res.A_history[1:]))
-    ok = all(checks.values())
-    assert report("criterion 8 (two-bubble decomposition)", ok,
-                  "; ".join(f"{k}: {'ok' if v else 'FAIL'}"
-                            for k, v in checks.items()))
+    _assert_rows_pass("decomposition", [
+        "component count", "last-index scale near 64",
+        "last-index scale near 4096", "scale orthogonality metric",
+        "extracted derivative mass, component 0",
+        "extracted derivative mass, component 1",
+        "energy ledger residual, iteration 0",
+        "energy ledger residual, iteration 1",
+        "final orlicz mass", "A history nonincreasing"])
 
 
 def test_criterion_9_detection_invariance():
-    rng = np.random.default_rng(7)
-    rho = bb.default_mollifier()
-    L = bb.profile_L()
-    mismatches = 0
-    for _ in range(20):
-        a = float(rng.uniform(10.0, 60.0))
-        g = bb.make_bubble(bb.BubbleSpec(alpha=a, profile=L, mollifier=rho))
-        A0 = float(0.05 + 0.02 * rng.random())
-        base = detect_scale(g, A0)
-        for c in (0.1, 3.0, 10.0):
-            mismatches += detect_scale(g.scaled(c), c * A0) != base
-    assert report("criterion 9 (scale-detection invariance)", mismatches == 0,
-                  f"{60 - mismatches}/60 joint rescalings reproduce the "
-                  "detected scale exactly")
+    _assert_rows_pass("decomposition", [
+        "detection invariance under scaling (20 members x 3 factors)"])

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 from orlicz4d import gridfn
 from orlicz4d.gridfn import (MIN_NORM_NODES, GridDomainError, LogGrid,
                              LogRadialFunction, compose_segments, from_radius_samples,
-                             integrate_samples, sample_radial, uniform_grid)
+                             integrate_samples, uniform_grid)
 
 
 # ---------------------------------------------------------------- imports --
@@ -280,13 +280,6 @@ def test_grid_memo_hands_out_read_only_arrays():
     assert gridfn.grid_memo(g.nodes, "weights", gridfn._spline_weights) is w
     # an ad-hoc array is not cached, so its result stays the caller's own
     assert gridfn.grid_memo(np.array(g.nodes), "weights", gridfn._spline_weights).flags.writeable
-
-
-def test_sample_radial_generator_roundtrip():
-    g = uniform_grid(-1.0, 8.0, 300)
-    f = sample_radial(lambda r: np.exp(-r), g, keep_generator=True)
-    probe = np.array([0.123, 3.456])
-    np.testing.assert_allclose(f.eval(probe), np.exp(-np.exp(-probe)), rtol=1e-14)
 
 
 def test_grid_invariants():

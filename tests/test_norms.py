@@ -18,7 +18,7 @@ GRID = uniform_grid(-1.6, 12.0, 2200)
 
 
 def gaussian_half():
-    return sample_radial(lambda r: np.exp(-r * r / 2.0), GRID, keep_generator=False)
+    return sample_radial(lambda r: np.exp(-r * r / 2.0), GRID)
 
 
 def test_zero_function_all_norms_zero():
@@ -62,7 +62,7 @@ def test_falpha_laplacian_decomposition():
 
 
 def test_inequalities_gaussian_passes():
-    f = sample_radial(lambda r: np.exp(-r * r), GRID, keep_generator=False)
+    f = sample_radial(lambda r: np.exp(-r * r), GRID)
     rep = check_radial_inequalities(f)
     assert rep.all_pass
     assert rep.invr_grad <= rep.half_lap  # report fields are consistent
@@ -83,7 +83,7 @@ def test_inequalities_random_corpus():
 
 def test_pointwise_bound_constant():
     # the bound reads u(r)^2 <= ||u|| ||grad u|| / (pi^2 r^3)
-    f = sample_radial(lambda r: np.exp(-r * r), GRID, keep_generator=False)
+    f = sample_radial(lambda r: np.exp(-r * r), GRID)
     sq = norms_squared(f)
     r = 0.5
     u_r = float(f.eval(-np.log(r)))

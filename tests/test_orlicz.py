@@ -24,8 +24,7 @@ STEP_GRID = compose_segments([(-1.2, 0.0, 1200), (0.0, 0.5, 500), (0.5, 10.0, 95
 
 
 def step_function(c=1.0, R=1.0):
-    return sample_radial(lambda r: np.where(r <= R, c, 0.0), STEP_GRID,
-                         keep_generator=False)
+    return sample_radial(lambda r: np.where(r <= R, c, 0.0), STEP_GRID)
 
 
 def test_zero_function():
@@ -158,8 +157,9 @@ def test_root_find_fallbacks(monkeypatch):
 
 def test_root_find_gives_up_after_max_iter(monkeypatch):
     monkeypatch.setattr(orlicz, "orlicz_functional", lambda f, lam: 2.0)
-    with pytest.raises(BracketExpansionError):
-        orlicz_norm(bb.make_falpha(20.0), OrliczConfig(max_iter=8))
+    monkeypatch.setattr(orlicz, "_MAX_ITER", 8)
+    with pytest.raises(BracketExpansionError, match="within 8 evaluations"):
+        orlicz_norm(bb.make_falpha(20.0), OrliczConfig())
 
 
 def test_root_find_overflow_and_stray_secant(monkeypatch):
@@ -231,7 +231,7 @@ def test_estimate_tail_past_s_max():
     # (J grows by 2 pi^2 (e^{1/lambda^2} - 1) e^{-4} / 4): the tail term
     # accounts for the gap to the closed-form norm
     grid = compose_segments([(-1.2, 0.0, 1200), (0.0, 1.0, 1000)])
-    f = sample_radial(lambda r: np.where(r <= 1.0, 1.0, 0.0), grid, keep_generator=False)
+    f = sample_radial(lambda r: np.where(r <= 1.0, 1.0, 0.0), grid)
     rep = orlicz_norm_report(f, OrliczConfig(lambda_tol=1e-6))
     gap = 1.0 / np.sqrt(np.log(1.0 + 2.0 / PI2)) / rep.lam - 1.0
     assert rep.halving < 0.01 * rep.tail

@@ -196,7 +196,8 @@ def test_cli_gen_bubble_profiles(tmp_path):
     # tent, cusp and a profile JSON file: each output is the bubble of that
     # profile on the default bubble grid
     ppath = tmp_path / "psi.json"
-    ser.write_json(str(ppath), ser.profile_to_dict(bb.profile_cusp(n=257)))
+    s = np.linspace(0.0, 10.0, 257)
+    ser.write_json(str(ppath), ser.profile_to_dict(bb.Profile(s, np.minimum(s ** 1.5, 1.0))))
     profiles = {"tent": bb.profile_tent(), "cusp": bb.profile_cusp(),
                 str(ppath): ser.profile_from_dict(ser.read_json(str(ppath)))}
     for name, psi in profiles.items():
@@ -276,6 +277,37 @@ def test_cli_decompose(tmp_path):
     assert d["A_history"][-1] <= 0.1 * d["A_history"][0]
 
 
+def test_cli_decompose_shallow_early_scales(tmp_path):
+    # detected scales 0.70, 1.35, 2.71, 5.40: the first is below scale_min,
+    # so no bubble at scale < 1 is ever built
+    s = np.linspace(0.0, 10.0, 2049)
+    psi = bb.Profile(s, np.interp(s, [0.0, 0.084, 0.3, 1.0, 10.0], [0.0, 1.2, 0.5, 1.0, 1.0]))
+    fam = synthesize_family([8, 16, 32, 64], lambda n: [
+        bb.BubbleSpec(alpha=float(n), profile=psi, mollified=False)])
+    fpath, out = tmp_path / "fam.json", tmp_path / "result.json"
+    ser.write_json(str(fpath), ser.family_to_dict(fam))
+    assert main(["decompose", "--in", str(fpath), "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
+    assert d["components"] == [] and len(d["A_history"]) == 1
+    assert d["diagnostics"] == {"events": ["detected scale 0.703 below scale_min=2"],
+                                "stabilization": [], "detect_failures": [[]]}
+
+
+@pytest.mark.parametrize("flags", [["--max-profiles", "0"], ["--max-profiles", "-2"],
+                                   ["--stop-frac", "-1"], ["--stop-frac", "0"],
+                                   ["--stop-frac", "1"], ["--stop-frac", "5"],
+                                   ["--stop-frac", "nan"], ["--kappa", "inf"]],
+                         ids=lambda flags: f"{flags[0][2:]}={flags[1]}")
+def test_cli_decompose_rejects_out_of_range_options(tmp_path, capsys, flags):
+    member = {"grid_s": np.linspace(-1.0, 4.0, 16).tolist(), "values": [0.0] * 16}
+    fpath, out = tmp_path / "fam.json", tmp_path / "result.json"
+    ser.write_json(str(fpath), {"indices": [1, 2, 3], "members": [member] * 3})
+    assert main(["decompose", "--in", str(fpath), *flags, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: ")
+    assert not out.exists()
+
+
 def test_cli_validation_failures(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["norm", "--in", str(missing), "--which", "L2"]) == EXIT_VALIDATION
@@ -339,7 +371,7 @@ def test_cli_overflow_prints_one_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     big, alternating = str(tmp_path / "big.json"), str(tmp_path / "alternating.json")
     g = gridfn.uniform_grid(-1.0, 8.0, 64)
-    f = gridfn.sample_radial(lambda r: 1e200 * np.exp(-r * r), g, keep_generator=False)
+    f = gridfn.sample_radial(lambda r: 1e200 * np.exp(-r * r), g)
     ser.write_json(big, ser.logradial_to_dict(f))
     # v fits in floating range, its finite differences do not: every norm is
     # a numerical failure, not a complaint about the input
