@@ -127,8 +127,8 @@ def _eta_ramp_d2(t):
 
 def eta_callables(alpha: float):
     """(eta, eta', eta'', Lap eta) as callables of r on [1, infinity)."""
-    if alpha < 2:
-        raise ValueError("eta needs alpha >= 2")
+    if not 2 <= alpha < np.inf:
+        raise ValueError("eta needs finite alpha >= 2")
     amp = -1.0 / np.sqrt(8.0 * PI2 * alpha)
 
     def eta(r):
@@ -532,8 +532,8 @@ class BubbleSpec:
     mollified: bool = True
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("bubble scale alpha must be >= 1")
+        if not 1 <= self.alpha < np.inf:
+            raise ValueError("bubble scale alpha must be finite and >= 1")
 
 
 def bubble_values(s_points, spec: BubbleSpec) -> np.ndarray:
@@ -619,6 +619,8 @@ def falpha_grid(alpha: float, refine: float = 1.0) -> LogGrid:
     order right where |v''| jumps.  ``refine`` scales all spacings down for
     oracle-grade comparisons.
     """
+    if not 2 <= alpha < np.inf:
+        raise ValueError("f_alpha needs finite alpha >= 2")
     a = float(alpha)
     left = np.linspace(-0.75, 0.0, int(1400 * refine))
     up0 = _geometric_offsets(5e-4 / refine, a / (250.0 * refine), a / 2.0)
@@ -634,8 +636,8 @@ def make_falpha(alpha: float, grid: LogGrid | None = None) -> LogRadialFunction:
     The interface matching is checked (jumps of v and v' below 1e-10
     relative) before the function is returned.
     """
-    if alpha < 2:
-        raise ValueError("f_alpha needs alpha >= 2")
+    if not 2 <= alpha < np.inf:
+        raise ValueError("f_alpha needs finite alpha >= 2")
     gaps = falpha_interface_gaps(alpha)
     if max(gaps.values()) > 1e-10:
         raise RuntimeError(f"f_alpha interface mismatch: {gaps}")
@@ -686,8 +688,8 @@ class AppendixRecord:
 
 
 def appendix_closed_forms(alpha: float) -> AppendixRecord:
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
+    if not 2 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 2")
     a = float(alpha)
     e2a = np.exp(-2.0 * a)
     e4a = np.exp(-4.0 * a)
@@ -720,8 +722,8 @@ def lemma_add1_integrals(alpha: float) -> tuple[float, float]:
     on [0, alpha]; the r^3 exponent returns to 0 at t = alpha, so that
     integral collects mass at both endpoints (limit 1/2, not 1/4).
     """
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
+    if not 2 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 2")
     a = float(alpha)
     pts = [a / 4, a / 2, 3 * a / 4]
     i4 = quad(lambda t: np.exp(-5.0 * t + 4.0 * t * t / a), 0, a,

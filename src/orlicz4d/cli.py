@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation failure (bad arguments or input files),
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -113,20 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PROFILES = {"L": bb.profile_L, "tent": bb.profile_tent, "cusp": bb.profile_cusp}
+
+
 def _load_profile(spec: str) -> bb.Profile:
-    if spec == "L":
-        return bb.profile_L()
-    if spec == "tent":
-        return bb.profile_tent()
-    if spec == "cusp":
-        return bb.profile_cusp()
+    if spec in _PROFILES:
+        return _PROFILES[spec]()
     return ser.profile_from_dict(ser.read_json(spec))
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = ser.dumps(payload)
+def _emit(payload: dict | str, out: str | None) -> None:
+    """JSON of payload, or payload itself if it is text, to out or stdout."""
+    text = payload if isinstance(payload, str) else ser.dumps(payload)
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -170,13 +169,8 @@ def run(args) -> int:
 
     elif args.command == "lemma-add1":
         i4, i3 = bb.lemma_add1_integrals(args.alpha)
-        rows = [["alpha", "r4_integral", "r4_limit", "r3_integral", "r3_limit"],
-                [f"{args.alpha:.17g}", f"{i4:.17g}", "0.2", f"{i3:.17g}", "0.5"]]
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
-        else:
-            csv.writer(sys.stdout).writerows(rows)
+        _emit("alpha,r4_integral,r4_limit,r3_integral,r3_limit\r\n"
+              f"{args.alpha:.17g},{i4:.17g},0.2,{i3:.17g},0.5\r\n", args.out)
 
     elif args.command == "decompose":
         fam = ser.family_from_dict(ser.read_json(args.infile))
@@ -195,8 +189,7 @@ def run(args) -> int:
             print(f"suite {r.suite}: {'PASS' if r.passed else 'FAIL'} "
                   f"({len(r.rows)} checks, {r.elapsed_s:.1f}s)")
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(ser.dumps(payload))
+            _emit(payload, args.out)
         if not payload["passed"]:
             return EXIT_NUMERICAL
     return EXIT_OK

@@ -123,8 +123,8 @@ def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
     radial and decay fast enough that the exterior region integrals
     converge; only r in [1, 2] carries eta.
     """
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
+    if not 2 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 2")
     a = float(alpha)
     eta, _, _, lap_eta = eta_callables(a)
 

@@ -2,8 +2,7 @@
 
 Each function is a clamped cubic spline in r through random knot values on
 [0, 4] (u'(0) = 0 for radial regularity, u(4) = u'(4) = 0 so the support
-stays in r <= 4), sampled onto a log-radius grid.  The analytic spline is
-kept as the generator so oracle comparisons stay sharp.
+stays in r <= 4), sampled onto a log-radius grid.
 """
 
 from __future__ import annotations
@@ -29,18 +28,11 @@ def _random_smooth_radial(rng: np.random.Generator, grid: LogGrid) -> LogRadialF
     if np.allclose(y, 0.0):
         y[N_KNOTS // 2] = 1.0  # never return the zero function
     sp = CubicSpline(knots, y, bc_type="clamped")
-
-    def u_of_r(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        m = r <= R_SUPPORT
-        out[m] = sp(r[m])
-        return out
-
-    vals = u_of_r(np.exp(-grid.nodes))
-    return LogRadialFunction(grid, vals, name="corpus",
-                             closed_form="random-clamped-spline",
-                             generator=lambda s: u_of_r(np.exp(-np.asarray(s, dtype=float))))
+    r = np.exp(-grid.nodes)
+    inside = r <= R_SUPPORT
+    vals = np.zeros_like(r)
+    vals[inside] = sp(r[inside])
+    return LogRadialFunction(grid, vals, name="corpus")
 
 
 def corpus_functions(seed: int, count: int) -> list[LogRadialFunction]:

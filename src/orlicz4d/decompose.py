@@ -53,6 +53,8 @@ class SequenceFamily:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(float(i).is_integer() for i in self.indices):
+            raise ValueError(f"indices must be integers, got {self.indices}")
         idx = [int(i) for i in self.indices]
         if len(idx) < 3:
             raise ValueError("family needs at least 3 indices")

@@ -117,8 +117,8 @@ def bubble_grid(alpha: float, n_bubble: int = 2048) -> LogGrid:
     profile variable at s = alpha lands exactly on a node.  A short uniform
     tail covers where e^{-4(s - alpha)} has died.
     """
-    if alpha < 1:
-        raise ValueError("bubble grids need alpha >= 1")
+    if not 1 <= alpha < np.inf:
+        raise ValueError("bubble grids need finite alpha >= 1")
     n_core = max(int(n_bubble), 256)
     n_head = max(24, n_core // 32)
     return compose_segments([
@@ -333,7 +333,7 @@ def integrate_samples(nodes: np.ndarray, samples: np.ndarray) -> float:
     if nodes.size != samples.size:
         raise ValueError("nodes/samples length mismatch")
     if nodes.size < 4:
-        return float(np.trapezoid(samples, nodes))
+        raise ValueError("cubic spline needs at least 4 nodes")
     return float(grid_memo(nodes, "weights", _spline_weights) @ samples)
 
 

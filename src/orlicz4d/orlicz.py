@@ -102,8 +102,8 @@ def exp_weighted_integral(f: LogRadialFunction, coef: float) -> float:
     """2 pi^2 int ( e^{coef * v(s)^2} - 1 ) e^{-4s} ds over the grid span, by
     the spline rule on the grid's own nodes (cached weights); raises
     IntegrandOverflowError if an exponent coef v^2 - 4s exceeds EXP_CAP."""
-    if coef < 0:
-        raise ValueError("coefficient must be nonnegative")
+    if not 0 <= coef < math.inf:
+        raise ValueError("coefficient must be nonnegative and finite")
     if coef == 0:
         return 0.0
     nodes = f.grid.nodes
@@ -119,8 +119,8 @@ def orlicz_functional(f: LogRadialFunction, lam: float) -> float:
 
 def tm_functional(f: LogRadialFunction, beta: float) -> TmResult:
     """int (e^{beta u^2} - 1) dx plus the diagnostic ratio against ||u||_L2^2."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
     val = exp_weighted_integral(f, beta)
     l2 = norm(f, NormKind.L2)
     ratio = val / l2 ** 2 if l2 > 0 else float("inf") if val > 0 else 0.0

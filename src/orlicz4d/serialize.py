@@ -71,7 +71,7 @@ def family_to_dict(fam: SequenceFamily) -> dict:
 
 def family_from_dict(d: dict) -> SequenceFamily:
     try:
-        return SequenceFamily(indices=[int(i) for i in d["indices"]],
+        return SequenceFamily(indices=d["indices"],
                               members=[logradial_from_dict(m) for m in d["members"]],
                               meta=d.get("meta", {}))
     except KeyError as exc:
@@ -90,7 +90,7 @@ def result_to_dict(res: DecompositionResult) -> dict:
         "ledger": _num_list(res.ledger),
         "orthogonality_matrix": [_num_list(row) for row in res.orthogonality_matrix],
         "remainder": family_to_dict(res.remainder),
-        "diagnostics": _jsonable(res.diagnostics),
+        "diagnostics": res.diagnostics,
     }
 
 
@@ -103,50 +103,31 @@ def norm_report_to_dict(rep: NormReport) -> dict:
             "flagged": rep.flagged}
 
 
-def _jsonable(obj: Any) -> Any:
-    """Containers as dicts and lists, numpy arrays and scalars as Python
-    numbers (arrays as lists of floats); everything else as it is."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= {float}:  # e.g. a _num_list: no walk per element
-            return list(obj)
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _num_list(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def _indented(obj: Any, pad: str) -> str:
-    """json.dumps(obj, indent=2) of jsonable obj at indentation pad.  The
-    walk is in Python; each list of plain floats, and every leaf, is written
-    by json's C encoder (indent=2 alone would run its pure-Python one)."""
+    """json.dumps(obj, indent=2) at indentation pad, with numpy arrays and
+    scalars as Python numbers (arrays as lists of floats) and keys as str().
+    The walk is in Python; each list of plain floats, and every leaf, is
+    written by json's C encoder (indent=2 alone would run its pure-Python one)."""
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        obj = _num_list(obj)
     if isinstance(obj, dict) and obj:
+        items = {str(k): v for k, v in obj.items()}.items()
         body = (",\n" + inner).join(f"{json.dumps(k)}: {_indented(v, inner)}"
-                                    for k, v in obj.items())
+                                    for k, v in items)
         return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, list) and obj:
+    if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {float}:
             body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
         else:
             body = (",\n" + inner).join(_indented(v, inner) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj)
+    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 def dumps(payload: dict) -> str:
     """Deterministic JSON text (stable key order, repr float formatting)."""
-    return _indented(_jsonable(payload), "") + "\n"
-
-
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(payload))
+    return _indented(payload, "") + "\n"
 
 
 def read_json(path: str) -> dict:

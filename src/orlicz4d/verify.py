@@ -90,7 +90,6 @@ def _norm(f: LogRadialFunction, cfg: OrliczConfig) -> tuple[float, float]:
 
 def suite_inequalities(seed: int = 7) -> SuiteReport:
     """200 seeded smooth radial functions against both radial inequalities."""
-    t0 = time.time()
     rep = SuiteReport("inequalities", seed)
     for k, f in enumerate(corpus_functions(seed, 200)):
         r = check_radial_inequalities(f, r_floor=0.1, slack=1e-6)
@@ -99,7 +98,6 @@ def suite_inequalities(seed: int = 7) -> SuiteReport:
                 passed=r.half_lap_pass)
         rep.add(f"pointwise decay bound #{k}", r.pointwise_max, 1.0, 1e-6,
                 "closed-form constant", passed=r.pointwise_pass)
-    rep.elapsed_s = time.time() - t0
     return rep
 
 
@@ -108,7 +106,6 @@ def suite_inequalities(seed: int = 7) -> SuiteReport:
 # --------------------------------------------------------------------------
 
 def suite_falpha(seed: int = 7) -> SuiteReport:
-    t0 = time.time()
     rep = SuiteReport("falpha", seed)
     cfg = OrliczConfig(lambda_tol=1e-4)
 
@@ -145,7 +142,6 @@ def suite_falpha(seed: int = 7) -> SuiteReport:
         gaps = bb.falpha_interface_gaps(a)
         rep.add(f"interface continuity alpha={a}", max(gaps.values()), 0.0,
                 1e-10, "construction")
-    rep.elapsed_s = time.time() - t0
     return rep
 
 
@@ -154,7 +150,6 @@ def suite_falpha(seed: int = 7) -> SuiteReport:
 # --------------------------------------------------------------------------
 
 def suite_concentration(seed: int = 7) -> SuiteReport:
-    t0 = time.time()
     rep = SuiteReport("concentration", seed)
     # per quantity and alpha: (relative error to the limit, its quadrature estimate)
     errs = {k: [] for k in ("lap", "exp", "inner", "annulus")}
@@ -204,7 +199,6 @@ def suite_concentration(seed: int = 7) -> SuiteReport:
             rep.add(f"r^3 error decreasing at alpha={a}", abs(i3 - 0.5), prev3,
                     0.0, "asymptotic limit", passed=abs(i3 - 0.5) < prev3)
         prev4, prev3 = abs(i4 - 0.2), abs(i3 - 0.5)
-    rep.elapsed_s = time.time() - t0
     return rep
 
 
@@ -213,7 +207,6 @@ def suite_concentration(seed: int = 7) -> SuiteReport:
 # --------------------------------------------------------------------------
 
 def suite_bubbles(seed: int = 7) -> SuiteReport:
-    t0 = time.time()
     rep = SuiteReport("bubbles", seed)
     cfg = OrliczConfig(lambda_tol=1e-4)
     rho = bb.default_mollifier()
@@ -266,7 +259,6 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
         BubbleSpec(alpha=float(n * n), profile=cusp, mollifier=rho)))
     rep.add("two-bubble sum orlicz vs max part (n=32)", lam_sum, mx, 0.05 * mx,
             "asymptotic limit", estimate=est_sum + est_mx)
-    rep.elapsed_s = time.time() - t0
     return rep
 
 
@@ -292,7 +284,6 @@ def _local_cell(member: LogRadialFunction, s: float) -> float:
 
 
 def suite_decomposition(seed: int = 7) -> SuiteReport:
-    t0 = time.time()
     rep = SuiteReport("decomposition", seed)
     cfg = OrliczConfig(lambda_tol=2e-4)
 
@@ -345,7 +336,6 @@ def suite_decomposition(seed: int = 7) -> SuiteReport:
                 mismatches += 1
     rep.add("detection invariance under scaling (20 members x 3 factors)",
             mismatches, 0, 0.0, "exact invariance", passed=mismatches == 0)
-    rep.elapsed_s = time.time() - t0
     return rep
 
 
@@ -359,9 +349,13 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 7) -> list[SuiteReport]:
-    if name == "all":
-        return [fn(seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    """The named suite's report, or every suite's in SUITES order, each timed."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from "
                          f"{sorted(SUITES)} or 'all'")
-    return [SUITES[name](seed)]
+    reports = []
+    for suite in SUITES.values() if name == "all" else [SUITES[name]]:
+        t0 = time.time()
+        reports.append(suite(seed))
+        reports[-1].elapsed_s = time.time() - t0
+    return reports

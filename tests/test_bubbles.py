@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from orlicz4d import bubbles as bb
+from orlicz4d import concentration as conc
 from orlicz4d.norms import NormKind, norm
 from orlicz4d.orlicz import OrliczConfig, orlicz_norm
 
@@ -300,6 +301,21 @@ def test_falpha_l2_identity():
 def test_falpha_rejects_small_alpha():
     with pytest.raises(ValueError):
         bb.make_falpha(1.0)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    bb.eta_callables, bb.falpha_grid, bb.appendix_closed_forms, bb.lemma_add1_integrals,
+    bb.bubble_grid, lambda a: bb.make_falpha(a, grid=bb.falpha_grid(10.0)),
+    lambda a: bb.BubbleSpec(alpha=a, profile=bb.profile_L()),
+    lambda a: conc.pair_concentration(a, conc.gaussian_test)],
+    ids=["eta", "falpha_grid", "appendix", "lemma_add1", "bubble_grid", "make_falpha",
+         "BubbleSpec", "pair_concentration"])
+def test_alpha_guards_reject_non_finite(build, alpha):
+    # NaN fails every comparison, so each guard is written to pass only a
+    # finite alpha in range
+    with pytest.raises(ValueError, match="finite"):
+        build(alpha)
 
 
 # ----------------------------------------------------- appendix closed forms

@@ -586,5 +586,17 @@ def test_family_validation():
         SequenceFamily([1, 2, 2], members + members[:1])
 
 
+def test_family_rejects_non_integral_indices():
+    # truncating 8.7 to 8 would move the scales _impute_scales and the
+    # stabilization extrapolation read off the indices
+    g = uniform_grid(-1.0, 5.0, 32)
+    members = [LogRadialFunction(g, np.zeros(32)) for _ in range(3)]
+    for bad in ([8.7, 16, 32], [8, 16, np.inf], [np.nan, 16, 32]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SequenceFamily(bad, members)
+    fam = SequenceFamily([8.0, np.int64(16), 32], members)
+    assert fam.indices == [8, 16, 32] and all(type(i) is int for i in fam.indices)
+
+
 if __name__ == "__main__":
     PINNED.write_text(json.dumps(_pinned_runs(), indent=1) + "\n")

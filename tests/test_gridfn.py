@@ -252,6 +252,13 @@ def test_quad_weights_match_spline_integral(n, seed):
         assert abs(integrate_samples(nodes, y) - want) <= 1e-12 * abs(want)
 
 
+def test_quadrature_needs_four_nodes():
+    # one rule everywhere: no other rule stands in on 1-3 nodes
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="cubic spline needs at least 4 nodes"):
+            integrate_samples(np.arange(float(n)), np.ones(n))
+
+
 def test_quad_weights_cached_per_grid(monkeypatch):
     builds = []
     real = gridfn._spline_weights

@@ -298,6 +298,15 @@ def test_integrand_matches_masked_formula():
     assert 0 < raised < len(cases)
 
 
+@pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf, -1.0])
+def test_exponent_coefficient_must_be_finite_and_nonnegative(coef):
+    f = step_function()
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        tm_functional(f, coef)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        orlicz.exp_weighted_integral(f, coef)
+
+
 def test_tm_zero_beta():
     f = step_function()
     assert tm_functional(f, 0.0).value == 0.0

@@ -16,11 +16,16 @@ import orlicz4d
 from orlicz4d import bubbles as bb
 from orlicz4d import gridfn
 from orlicz4d import serialize as ser
+from orlicz4d import verify
 from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from orlicz4d.decompose import synthesize_family
 from orlicz4d.norms import NormKind
-from orlicz4d.orlicz import tm_functional
-from orlicz4d.verify import SuiteReport
+from orlicz4d.orlicz import EXP_CAP, orlicz_norm_report, tm_functional
+from orlicz4d.verify import SuiteReport, run_suite
+
+
+def _write(path, payload):
+    Path(path).write_text(ser.dumps(payload))
 
 
 # -------------------------------------------------------------- round trips
@@ -107,6 +112,9 @@ _payloads = st.recursive(
 @example(payload={"deep": [[[[1.5, -0.0, math.nan, math.inf]]], {"x": [[[-math.inf]]]}]})
 @example(payload={"one": [2.0], "one int": [3], "one list": [[0.25]], "one dict": [{"k": 1e-300}]})
 @example(payload={"mixed": [1, 1.0, True, 0.5, False, -2, np.float64(0.1), np.int64(4)]})
+@example(payload={"k": {1: [0.5], "1": (2.0, 3)}})
+@example(payload={"tuples": ((1.5, -0.0), (), ((),), (np.int64(3), "x"))})
+@example(payload={"int64 array": np.arange(-2, 3, dtype=np.int64), "empty": np.array([])})
 def test_dumps_bytes_match_seventeen_digit_writer(payload):
     assert ser.dumps(payload) == json.dumps(_jsonable_17(payload), indent=2) + "\n"
 
@@ -162,8 +170,8 @@ def test_cli_gen_norm_orlicz_pipeline(tmp_path):
 def test_cli_zero_norm(tmp_path):
     zpath = tmp_path / "zero.json"
     grid = list(np.linspace(-1.0, 8.0, 32))
-    ser.write_json(str(zpath), {"meta": {"name": "zero", "closed_form": None},
-                                "grid_s": grid, "values": [0.0] * 32})
+    _write(zpath, {"meta": {"name": "zero", "closed_form": None},
+                   "grid_s": grid, "values": [0.0] * 32})
     out = tmp_path / "n.json"
     assert main(["norm", "--in", str(zpath), "--which", "L2",
                  "--out", str(out)]) == EXIT_OK
@@ -197,7 +205,7 @@ def test_cli_gen_bubble_profiles(tmp_path):
     # profile on the default bubble grid
     ppath = tmp_path / "psi.json"
     s = np.linspace(0.0, 10.0, 257)
-    ser.write_json(str(ppath), ser.profile_to_dict(bb.Profile(s, np.minimum(s ** 1.5, 1.0))))
+    _write(ppath, ser.profile_to_dict(bb.Profile(s, np.minimum(s ** 1.5, 1.0))))
     profiles = {"tent": bb.profile_tent(), "cusp": bb.profile_cusp(),
                 str(ppath): ser.profile_from_dict(ser.read_json(str(ppath)))}
     for name, psi in profiles.items():
@@ -211,7 +219,7 @@ def test_cli_gen_bubble_profiles(tmp_path):
 
 def test_cli_gen_bubble_tiny_profile(tmp_path, capsys):
     ppath = tmp_path / "psi.json"
-    ser.write_json(str(ppath), {"s": [0.0, 0.5, 1.0], "psi": [0.0, 0.5, 1.0]})
+    _write(ppath, {"s": [0.0, 0.5, 1.0], "psi": [0.0, 0.5, 1.0]})
     assert main(["gen-bubble", "--alpha", "24", "--profile", str(ppath),
                  "--out", str(tmp_path / "b.json")]) == EXIT_VALIDATION
     assert "at least 4 nodes" in capsys.readouterr().err
@@ -267,7 +275,7 @@ def test_cli_decompose(tmp_path):
     fam = synthesize_family([8, 16, 32], lambda n: [
         bb.BubbleSpec(alpha=float(n), profile=bb.profile_L())])
     fpath = tmp_path / "fam.json"
-    ser.write_json(str(fpath), ser.family_to_dict(fam))
+    _write(fpath, ser.family_to_dict(fam))
     out = tmp_path / "result.json"
     assert main(["decompose", "--in", str(fpath), "--max-profiles", "3",
                  "--stop-frac", "0.1", "--out", str(out)]) == EXIT_OK
@@ -285,7 +293,7 @@ def test_cli_decompose_shallow_early_scales(tmp_path):
     fam = synthesize_family([8, 16, 32, 64], lambda n: [
         bb.BubbleSpec(alpha=float(n), profile=psi, mollified=False)])
     fpath, out = tmp_path / "fam.json", tmp_path / "result.json"
-    ser.write_json(str(fpath), ser.family_to_dict(fam))
+    _write(fpath, ser.family_to_dict(fam))
     assert main(["decompose", "--in", str(fpath), "--out", str(out)]) == EXIT_OK
     d = json.loads(out.read_text())
     assert d["components"] == [] and len(d["A_history"]) == 1
@@ -301,10 +309,36 @@ def test_cli_decompose_shallow_early_scales(tmp_path):
 def test_cli_decompose_rejects_out_of_range_options(tmp_path, capsys, flags):
     member = {"grid_s": np.linspace(-1.0, 4.0, 16).tolist(), "values": [0.0] * 16}
     fpath, out = tmp_path / "fam.json", tmp_path / "result.json"
-    ser.write_json(str(fpath), {"indices": [1, 2, 3], "members": [member] * 3})
+    _write(fpath, {"indices": [1, 2, 3], "members": [member] * 3})
     assert main(["decompose", "--in", str(fpath), *flags, "--out", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("validation error: ")
+    assert not out.exists()
+
+
+def test_cli_decompose_rejects_non_integral_indices(tmp_path, capsys):
+    member = {"grid_s": np.linspace(-1.0, 4.0, 16).tolist(), "values": [0.0] * 16}
+    fpath, out = tmp_path / "fam.json", tmp_path / "result.json"
+    _write(fpath, {"indices": [8.7, 16, 32], "members": [member] * 3})
+    assert main(["decompose", "--in", str(fpath), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: indices must be integers, got [8.7, 16, 32]"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, f"--alpha={a}"] for cmd in ("gen-falpha", "gen-bubble", "concentration", "lemma-add1")
+    for a in ("nan", "inf", "-inf")] + [["tm", f"--beta={b}"] for b in ("nan", "inf", "-inf")],
+    ids=" ".join)
+def test_cli_non_finite_parameter_is_validation_failure(tmp_path, capsys, argv):
+    fpath, out = tmp_path / "f.json", tmp_path / "out"
+    _write(fpath, {"grid_s": np.linspace(-1.0, 8.0, 32).tolist(), "values": [1.0] * 32})
+    if argv[0] == "tm":
+        argv = argv + ["--in", str(fpath)]
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("validation error: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -317,18 +351,15 @@ def test_cli_validation_failures(tmp_path):
     assert main(["no-such-command"]) == EXIT_VALIDATION
 
 
-def test_cli_bad_node_budget_is_validation_failure(tmp_path):
-    # a fresh interpreter: the variable used to be parsed at import time
-    src = str(Path(orlicz4d.__file__).resolve().parents[1])
-    env = dict(os.environ, ORLICZ4D_NODE_BUDGET="abc",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+def test_cli_bad_node_budget_is_validation_failure(tmp_path, monkeypatch, capsys):
+    # read per run: a value parsed at import time would miss this one, and
+    # the run would exit 0
+    monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", "abc")
     out = tmp_path / "f.json"
-    proc = subprocess.run([sys.executable, "-m", "orlicz4d.cli", "gen-falpha",
-                           "--alpha", "10", "--out", str(out)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == EXIT_VALIDATION
-    assert "Traceback" not in proc.stderr
-    assert "ORLICZ4D_NODE_BUDGET" in proc.stderr
+    assert main(["gen-falpha", "--alpha", "10", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "ORLICZ4D_NODE_BUDGET" in err
     assert not out.exists()
 
 
@@ -347,17 +378,17 @@ def test_cli_node_budget_read_per_run(tmp_path, monkeypatch):
 
 
 def test_cli_three_node_input_is_validation_failure(tmp_path, capsys):
-    # sampled data is interpolated by the cubic spline only, which needs 4
-    # nodes: the orlicz estimate's midpoints and decompose's profile
-    # snapshots both reach it
+    # sampled data is integrated and interpolated by the cubic spline only,
+    # which needs 4 nodes: the first J of orlicz's and decompose's norm
+    # searches reaches it
     f = gridfn.from_radius_samples([0.5, 0.2, 0.05], [1.0, 2.0, 3.0])
     fpath = tmp_path / "tiny.json"
-    ser.write_json(str(fpath), ser.logradial_to_dict(f))
+    _write(fpath, ser.logradial_to_dict(f))
     assert main(["orlicz", "--in", str(fpath)]) == EXIT_VALIDATION
     member = {"meta": {"name": "m", "closed_form": None},
               "grid_s": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 2.0]}
     fam = tmp_path / "fam.json"
-    ser.write_json(str(fam), {"indices": [1, 2, 3], "members": [member] * 3, "meta": {}})
+    _write(fam, {"indices": [1, 2, 3], "members": [member] * 3, "meta": {}})
     assert main(["decompose", "--in", str(fam), "--out",
                  str(tmp_path / "r.json")]) == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
@@ -372,12 +403,12 @@ def test_cli_overflow_prints_one_line(tmp_path):
     big, alternating = str(tmp_path / "big.json"), str(tmp_path / "alternating.json")
     g = gridfn.uniform_grid(-1.0, 8.0, 64)
     f = gridfn.sample_radial(lambda r: 1e200 * np.exp(-r * r), g)
-    ser.write_json(big, ser.logradial_to_dict(f))
+    _write(big, ser.logradial_to_dict(f))
     # v fits in floating range, its finite differences do not: every norm is
     # a numerical failure, not a complaint about the input
     g = gridfn.uniform_grid(-1.0, 1.0, 64)
     f = gridfn.LogRadialFunction(g, np.where(np.arange(64) % 2 == 0, 1e307, -1e307))
-    ser.write_json(alternating, ser.logradial_to_dict(f))
+    _write(alternating, ser.logradial_to_dict(f))
     runs = [big, "H2_SUM"] + [a for k in NormKind for a in (alternating, k.name)]
     driver = ("import sys, warnings\n"
               "warnings.simplefilter('always')\n"
@@ -392,6 +423,35 @@ def test_cli_overflow_prints_one_line(tmp_path):
     assert len(per_run) == len(runs) // 2 + 1 and per_run[-1] == ""
     for err in per_run[:-1]:
         assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+
+
+def test_cli_orlicz_halved_rule_overflow_is_flagged(tmp_path):
+    # loaded data, no generator: the spline bulges between the two unit
+    # nodes at s = 799, 800, so at the norm a midpoint's exponent passes
+    # EXP_CAP while no node's does
+    s = np.concatenate([np.linspace(-1.0, 798.0, 40), [799.0, 800.0, 801.0, 802.0]])
+    v = np.zeros(s.size)
+    v[-3] = v[-2] = 1.0
+    f = gridfn.LogRadialFunction(gridfn.LogGrid(s), v)
+    rep = orlicz_norm_report(f)
+    mid = 0.5 * (s[1:] + s[:-1])
+    assert np.max(f.spline()(mid) ** 2 / rep.lam ** 2 - 4.0 * mid) > EXP_CAP
+    assert rep.halving == math.inf and not rep.open_tail and rep.flagged
+    fpath, out = tmp_path / "f.json", tmp_path / "o.json"
+    _write(fpath, ser.logradial_to_dict(f))
+    assert main(["orlicz", "--in", str(fpath), "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
+    assert d["orlicz_norm"] == rep.lam
+    assert d["halving_error"] is None and d["open_tail"] is False and d["flagged"] is True
+
+
+def test_cli_orlicz_stdout_matches_out(tmp_path, capsys):
+    fpath, out = tmp_path / "f.json", tmp_path / "o.json"
+    assert main(["gen-falpha", "--alpha", "10", "--out", str(fpath)]) == EXIT_OK
+    assert main(["orlicz", "--in", str(fpath), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["orlicz", "--in", str(fpath)]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_cli_numerical_failure(tmp_path):
@@ -424,3 +484,34 @@ def test_verify_row_estimate_counts_against_tolerance():
     rep.add("no estimate", 1.0, 1.5, 0.6, "property")
     assert [r.passed for r in rep.rows] == [True, False, True]
     assert "est=0.05" in rep.rows[0].line() and "est=" not in rep.rows[2].line()
+
+
+def test_cli_verify_failing_row_exits_numerical_and_writes_out(tmp_path, monkeypatch, capsys):
+    def failing(seed):
+        rep = SuiteReport("falpha", seed)
+        rep.add("stub row", 1.0, 0.0, 0.5, "property")
+        return rep
+
+    monkeypatch.setitem(verify.SUITES, "falpha", failing)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "falpha", "--seed", "3",
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] stub row: value=1 target=0")
+    assert lines[1].startswith("suite falpha: FAIL (1 checks, ")
+    d = json.loads(out.read_text())
+    assert d["passed"] is False and d["seed"] == 3
+    assert [r["checks"][0]["name"] for r in d["reports"]] == ["stub row"]
+
+
+def test_run_suite_order_and_unknown_name(monkeypatch):
+    # stubs in the reverse of the shipped order: "all" follows SUITES, not names
+    names = list(reversed(verify.SUITES))
+    monkeypatch.setattr(verify, "SUITES",
+                        {n: (lambda seed, n=n: SuiteReport(n, seed)) for n in names})
+    reports = run_suite("all", 5)
+    assert [r.suite for r in reports] == names
+    assert all(r.seed == 5 and r.elapsed_s >= 0.0 for r in reports)
+    assert [r.suite for r in run_suite("bubbles", 5)] == ["bubbles"]
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
