@@ -25,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
-from .gridfn import (LogGrid, LogRadialFunction, bubble_grid, compose_segments,
-                     integrate_samples)
+from .gridfn import (LogGrid, LogRadialFunction, _gauss_legendre, _graded_rule, _integrate,
+                     bubble_grid, compose_segments, integrate_samples)
 
 PI2 = np.pi ** 2
 ORLICZ_LIMIT_CONST = 1.0 / np.sqrt(32.0 * PI2)  # 1/sqrt(32 pi^2) = 0.0562697...
@@ -148,19 +147,12 @@ def eta_callables(alpha: float):
 
 
 def eta_norm_coefficients() -> dict[str, float]:
-    """Recompute the eta coefficient oracles by adaptive quadrature."""
-    pts = [ETA_CUT_START, 0.5, 0.9, 0.99]
-
-    def integ(kind):
-        if kind == "l2":
-            fn = lambda t: _eta_ramp(t) ** 2 * (1 + t) ** 3
-        elif kind == "grad":
-            fn = lambda t: _eta_ramp_d1(t) ** 2 * (1 + t) ** 3
-        else:
-            fn = lambda t: (_eta_ramp_d2(t) + 3 * _eta_ramp_d1(t) / (1 + t)) ** 2 * (1 + t) ** 3
-        return 0.25 * quad(fn, 0.0, 1.0, points=pts, limit=400)[0]
-
-    return {"l2": integ("l2"), "grad": integ("grad"), "lap": integ("lap")}
+    """Recompute the eta coefficient oracles by the graded Gauss-Legendre rule."""
+    t, w = _graded_rule((0.0, ETA_CUT_START, 0.5, 0.9, 0.99, 1.0), 0.02)
+    d1, r3 = _eta_ramp_d1(t), 0.25 * (1 + t) ** 3
+    terms = _integrate(w, _eta_ramp(t) ** 2 * r3, d1 ** 2 * r3,
+                       (_eta_ramp_d2(t) + 3 * d1 / (1 + t)) ** 2 * r3)
+    return {kind: v for kind, (v, _) in zip(("l2", "grad", "lap"), terms)}
 
 
 # --------------------------------------------------------------------------
@@ -231,10 +223,9 @@ class Profile:
     @property
     def deriv_l2(self) -> float:
         """||psi'||_{L^2} over the sampled span (analytic when dfn given)."""
-        if self.dfn is not None:
-            val, _ = quad(lambda t: self.dfn(np.array([t]))[0] ** 2,
-                          0.0, self.span, limit=400)
-            return float(np.sqrt(val))
+        if self.dfn is not None:   # on its own cells, so a kink at a node is exact
+            t, w = _gauss_legendre(self.s)
+            return float(np.sqrt(w @ self.dfn(t) ** 2))
         d = self._f.derivative(1).values
         return float(np.sqrt(max(integrate_samples(self.s, d * d), 0.0)))
 
@@ -387,10 +378,10 @@ class MollifierSpec:
 
     @cached_property
     def mass_constant(self) -> float:
+        """The raw bump's mass by conv_rule's own 96-point sum: its weights sum to 1."""
         lo, hi = self.support
-        z, _ = quad(lambda t: float(self.raw(np.array([t]))[0]),
-                    lo, hi, limit=400, epsabs=1e-14, epsrel=1e-13)
-        return float(z)
+        half = 0.5 * (hi - lo)
+        return float(half * _GL_WEIGHTS @ self.raw(0.5 * (lo + hi) + half * _GL_NODES))
 
     def values(self, t) -> np.ndarray:
         return self.raw(t) / self.mass_constant
@@ -411,10 +402,6 @@ class MollifierSpec:
         for a in (t, w, moments):
             a.flags.writeable = False
         return t, w, moments
-
-    def mass_by_quad(self) -> float:
-        return quad(lambda t: float(self.values(np.array([t]))[0]),
-                    self.support[0], self.support[1], limit=400)[0]
 
 
 def default_mollifier() -> MollifierSpec:
@@ -718,16 +705,17 @@ def appendix_closed_forms(alpha: float) -> AppendixRecord:
 def lemma_add1_integrals(alpha: float) -> tuple[float, float]:
     """int_{e^-a}^1 r^4 e^{(4/a) log^2 r} dr and the r^3 variant.
 
-    In t = -log r the integrands are e^{-5t + 4t^2/a} and e^{-4t + 4t^2/a}
-    on [0, alpha]; the r^3 exponent returns to 0 at t = alpha, so that
-    integral collects mass at both endpoints (limit 1/2, not 1/4).
+    In u = -log r the integrands are e^{-u(5 - 4u/a)} and e^{-4u(1 - u/a)}
+    on [0, alpha]; the r^3 exponent returns to 0 at u = alpha, so that
+    integral collects mass at both endpoints (limit 1/2, not 1/4).  It is
+    symmetric under u <-> alpha - u, so it is twice its integral over
+    [0, alpha/2], where the graded rule resolves both layers at any alpha.
     """
     if not 2 <= alpha < np.inf:
         raise ValueError("alpha must be finite and >= 2")
     a = float(alpha)
-    pts = [a / 4, a / 2, 3 * a / 4]
-    i4 = quad(lambda t: np.exp(-5.0 * t + 4.0 * t * t / a), 0, a,
-              points=pts, limit=400)[0]
-    i3 = quad(lambda t: np.exp(-4.0 * t + 4.0 * t * t / a), 0, a,
-              points=pts, limit=400)[0]
-    return float(i4), float(i3)
+    u, w = _graded_rule((0.0, a / 4, a / 2, 3 * a / 4, a), 0.25)
+    (i4, _), = _integrate(w, np.exp(-u * (5.0 - 4.0 * u / a)))
+    u, w = _graded_rule((0.0, a / 4, a / 2), 0.25)
+    (i3, _), = _integrate(w, 2.0 * np.exp(-4.0 * u * (1.0 - u / a)))
+    return i4, i3

@@ -12,15 +12,13 @@ substitutions that cancel e^{4 alpha} analytically; on the ball
 32 pi^2 f_alpha^2 = 4 alpha + 4(1 - t^2) + (1 - t^2)^2/alpha with t = r e^alpha,
 so no large exponentials ever materialize.
 
-Each region is integrated by one composite 24-point Gauss-Legendre rule on
-whole arrays: t in [0, 1] on the ball, u = -log r in [0, alpha] on the
-annulus (breakpoints min(2, alpha/2) and alpha/4, alpha/2, 3 alpha/4) and
-r in [1, 2] where eta lives (breakpoints 1.3, 1.7, 1.95).  Panels start at
-width 0.25 (0.02 on [1, 2]) at every endpoint and breakpoint and double in
-width towards the middle of each piece.  A term's error estimate is
-|rule - the same rule on halved panels| plus the rounding bound
-n eps sum |w f| of its n-node sum.  The test function phi is called with
-1-D arrays of radii only: once per region and once at r = 0.
+Each region is integrated on whole arrays by gridfn's graded composite
+Gauss-Legendre rule, which also gives each term's error estimate: t in
+[0, 1] on the ball, u = -log r in [0, alpha/2] on the annulus, at u and at
+alpha - u (breakpoints min(2, alpha/2) and alpha/4), and r in [1, 2] where
+eta lives (breakpoints 1.3, 1.7, 1.95).  Panels start at width 0.25 (0.02
+on [1, 2]).  The test function phi is called with 1-D arrays of radii only:
+once per region and once at r = 0.
 """
 
 from __future__ import annotations
@@ -29,18 +27,16 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (perfbench's tracer rebinds this name)
 
 from .bubbles import _step_down, eta_callables
+from .gridfn import _graded_rule, _integrate
 
 PI2 = np.pi ** 2
 
 EXP_TOTAL_LIMIT = PI2 / 16.0 * (np.e ** 4 + 3.0)    # 35.5294...
 EXP_INNER_LIMIT = PI2 / 16.0 * (np.e ** 4 - 5.0)    # 30.5946...
 EXP_ANNULUS_LIMIT = PI2 / 2.0                        # 4.9348...
-
-_GL_X, _GL_W = leggauss(24)
 
 
 @dataclass
@@ -79,41 +75,9 @@ TEST_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
-
-
-def _graded_rule(points: tuple[float, ...], h0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and a (2, len(x)) weight matrix: row 0 is the composite rule on
-    panels graded from width h0 at every point, row 1 the rule on those panels
-    halved (zero weight on each other's nodes)."""
-    edges = [points[0]]
-    for lo, hi in zip(points[:-1], points[1:]):
-        d = h0 * (2.0 ** np.arange(1, 64) - 1.0)
-        d = d[d < 0.5 * (hi - lo)]
-        edges.extend([*(lo + d), 0.5 * (lo + hi), *(hi - d[::-1]), hi])
-    edges = np.asarray(edges)
-    x0, w0 = _gauss_legendre(edges)
-    x1, w1 = _gauss_legendre(np.sort(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
-    weights = np.zeros((2, x0.size + x1.size))
-    weights[0, :x0.size], weights[1, x0.size:] = w0, w1
-    nodes = np.r_[x0, x1]
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 # the alpha-independent rules: the ball in t = r e^alpha and eta's [1, 2]
 _BALL_RULE = _graded_rule((0.0, 1.0), 0.25)
 _ETA_RULE = _graded_rule((1.0, 1.3, 1.7, 1.95, 2.0), 0.02)
-
-
-def _integrate(weights: np.ndarray, *integrands: np.ndarray) -> list[tuple[float, float]]:
-    """(value, estimated error) of each integrand sampled on a _graded_rule."""
-    f = np.stack(integrands)
-    q = f @ weights.T
-    rounding = np.count_nonzero(weights[0]) * np.finfo(float).eps * (np.abs(f) @ weights[0])
-    return [(float(v), float(abs(v - h) + e)) for (v, h), e in zip(q, rounding)]
 
 
 def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
@@ -135,13 +99,16 @@ def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
     lap_inner, exp_inner = _integrate(
         w, (4.0 / a) * pt, 2.0 * PI2 * (np.exp(4.0 * z + z * z / a) - np.exp(-4.0 * a)) * pt)
 
-    # annulus in u = -log r: |Lap f|^2 = 1/(2 pi^2 a r^4) and
-    # 32 pi^2 f^2 = 4 u^2 / a; both exponents stay <= 0
-    u, w = _graded_rule(tuple(np.unique([0.0, min(2.0, a / 2), a / 4, a / 2, 3 * a / 4, a])),
-                        0.25)
-    pu = phi(np.exp(-u))
+    # annulus in u = -log r: |Lap f|^2 = 1/(2 pi^2 a r^4) and 32 pi^2 f^2 = 4 u^2 / a.
+    # e^{4 u^2/a - 4u} = e^{-4u(1 - u/a)} is symmetric under u <-> a - u, so u in
+    # [0, a/2] carries both halves: no panel edge rounds to a at huge a, and no
+    # exponent overflows (all stay <= 0)
+    u, w = _graded_rule(tuple(np.unique([0.0, min(2.0, a / 2), a / 4, a / 2])), 0.25)
+    p0, p1 = np.split(phi(np.exp(np.r_[-u, u - a])), 2)
+    g = np.exp(-4.0 * u * (1.0 - u / a))
     lap_annulus, exp_annulus = _integrate(
-        w, pu / a, 2.0 * PI2 * (np.exp(4.0 * u * u / a - 4.0 * u) - np.exp(-4.0 * u)) * pu)
+        w, (p0 + p1) / a,
+        2.0 * PI2 * ((g - np.exp(-4.0 * u)) * p0 + (g - np.exp(4.0 * u - 4.0 * a)) * p1))
 
     r, w = _ETA_RULE
     pr, e = 2.0 * PI2 * phi(r) * r ** 3, eta(r)

@@ -223,12 +223,11 @@ def orlicz_norm_report(f: LogRadialFunction,
         unit, coef = f.scaled(1.0 / vmax), (vmax / lam) ** 2
         s, v = unit.grid.nodes, unit.values
         mid = 0.5 * (s[1:] + s[:-1])
-        v_mid = unit.generator(mid) if unit.generator is not None else unit.spline()(mid)
         J = integrate_samples(s, _integrand(s, v, coef))
         x = coef * v * v
         slope = 2.0 * integrate_samples(s, x * np.exp(x - 4.0 * s)) / J
         cut = np.arange(1, s.size)
-        fine_s, fine_v = np.insert(s, cut, mid), np.insert(v, cut, v_mid)
+        fine_s, fine_v = np.insert(s, cut, mid), np.insert(v, cut, unit.eval(mid))
         try:
             ratio = integrate_samples(fine_s, _integrand(fine_s, fine_v, coef)) / J
         except IntegrandOverflowError:

@@ -3,9 +3,9 @@ numerically at desk scale, as machine-readable pass/fail rows.
 
 Each row carries the measured value, its target, the tolerance at which it
 is judged, and the provenance of the target (closed-form oracle, quadrature
-oracle, asymptotic limit, or property).  Rows whose value is an Orlicz norm
-also carry the norm's estimated quadrature error (orlicz_norm_report), in
-the value's units.  A suite passes iff all rows do.
+oracle, asymptotic limit, or property).  Rows whose value is an Orlicz norm,
+a concentration pairing or a mollifier's mass also carry its estimated
+quadrature error, in the value's units.  A suite passes iff all rows do.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import concentration as conc
 from .corpus import corpus_functions
 from .decompose import (BubbleSpec, a0_window, decompose, detect_scale, orthogonality_check,
                         synthesize_family)
-from .gridfn import LogRadialFunction
+from .gridfn import LogRadialFunction, _graded_rule, _integrate
 from .norms import NormKind, check_radial_inequalities, norm, norms_squared
 from .orlicz import OrliczConfig, orlicz_norm_report, tm_functional
 
@@ -242,8 +242,10 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
         rep.add(f"profile[{prof.tag}] Hoelder certificate", ratio, 1.0, 1e-6,
                 "property", passed=ratio <= 1 + 1e-6)
     for spec in (rho, bb.alternative_mollifier(), bb.narrow_mollifier()):
-        rep.add(f"mollifier[{spec.name}] unit mass", spec.mass_by_quad(), 1.0,
-                1e-12, "quadrature oracle")
+        t, w = _graded_rule(spec.support, 0.02)
+        (mass, est), = _integrate(w, spec.values(t))
+        rep.add(f"mollifier[{spec.name}] unit mass", mass, 1.0, 1e-12, "quadrature oracle",
+                estimate=est)
 
     # sum of two orthogonally-scaled bubbles stays near the larger one
     tent, cusp = bb.profile_tent(), bb.profile_cusp()

@@ -54,10 +54,12 @@ def test_profile_orlicz_limit_sqrt_ramp():
 
 def test_profile_invariants():
     rng = np.random.default_rng(0)
-    for prof in (bb.profile_L(), bb.profile_tent(), bb.profile_cusp()):
+    # dfn is integrated on the profile's own cells, whose nodes hold the kinks
+    for prof, dl2 in ((bb.profile_L(), 1.0), (bb.profile_tent(), np.sqrt(2.0)),
+                      (bb.profile_cusp(), np.sqrt(9 / 8))):
         assert float(prof.eval(-2.0)) == 0.0
         assert float(prof.eval(0.0)) == 0.0
-        assert np.isfinite(prof.deriv_l2)
+        assert abs(prof.deriv_l2 - dl2) <= 1e-15 * dl2
         assert prof.holder_max_ratio(rng) <= 1.0 + 1e-6
 
 
@@ -88,7 +90,12 @@ def test_mollifier_invariants():
         vals = spec.values(t)
         assert np.all(vals >= 0.0)
         assert np.all(vals[np.abs(t) >= 1.0] == 0.0)
-        assert abs(spec.mass_by_quad() - 1.0) <= 1e-12
+        # scipy's quad as an oracle independent of the package's own rules
+        mass = quad(lambda x: float(spec.values(np.array([x]))[0]), *spec.support, limit=400)[0]
+        assert abs(mass - 1.0) <= 1e-12
+        # the normalization is the convolution rule's own sum: its weights sum to 1
+        _, w, moments = spec.conv_rule
+        assert abs(w.sum() - 1.0) <= 1e-15 and abs(moments[0, 0, w.size] - 1.0) <= 1e-15
 
 
 def _reference_bump(u_of_t):
@@ -117,14 +124,14 @@ def test_mollifier_matches_closure_formulas(spec, ref_raw, ref_support):
     t = np.concatenate([np.linspace(-1.2, 1.2, 2401),
                         np.nextafter([lo, lo, hi, hi], [-2, 2, -2, 2])])
     np.testing.assert_array_equal(spec.raw(t), ref_raw(t))
-    z = quad(lambda x: float(np.asarray(ref_raw(np.array([x])))[0]),
-             lo, hi, limit=400, epsabs=1e-14, epsrel=1e-13)[0]
-    assert spec.mass_constant == z
-    ref_values = np.where((t > lo) & (t < hi), ref_raw(t), 0.0) / z
-    np.testing.assert_array_equal(spec.values(t), ref_values)
+    # the normalization is the 96-point convolution rule's own sum
     gl_t, gl_w = np.polynomial.legendre.leggauss(96)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = mid + half * gl_t
+    z = float(half * gl_w @ ref_raw(nodes))
+    assert spec.mass_constant == z
+    ref_values = np.where((t > lo) & (t < hi), ref_raw(t), 0.0) / z
+    np.testing.assert_array_equal(spec.values(t), ref_values)
     weights = half * gl_w * (np.where((nodes > lo) & (nodes < hi), ref_raw(nodes), 0.0) / z)
     got_nodes, got_weights, _ = spec.conv_rule
     np.testing.assert_array_equal(got_nodes, nodes)
@@ -385,3 +392,13 @@ def test_lemma_add1_endpoint_degeneracy():
     i4, _ = bb.lemma_add1_integrals(400.0)
     assert abs(i4 - 0.2) <= 5e-4
     assert i4 < 0.3
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e6, 1e100])
+def test_lemma_add1_large_alpha_expansions(alpha):
+    # e^{4u^2/a} = 1 + 4u^2/a + 8u^4/a^2 + O(u^6/a^3) under e^{-5u} and (twice,
+    # by the u <-> alpha - u symmetry) under e^{-4u}; the next terms are below
+    # 1e-12 from alpha = 1e4 on
+    i4, i3 = bb.lemma_add1_integrals(alpha)
+    assert abs(i4 - (0.2 + 0.064 / alpha + 0.06144 / alpha ** 2)) <= 1e-11
+    assert abs(i3 - (0.5 + 0.25 / alpha + 0.375 / alpha ** 2)) <= 1e-11

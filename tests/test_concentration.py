@@ -65,6 +65,15 @@ def test_alpha_floor():
         conc.pair_concentration(1.0, conc.gaussian_test)
 
 
+def test_huge_alpha_pairings_at_their_limits():
+    # the annulus is integrated at u and alpha - u for u <= alpha/2, so no
+    # panel edge rounds to alpha and no exponent overflows (warnings fail)
+    for a in (1e10, 1e100, 1e300):
+        rep = conc.pair_concentration(a, conc.gaussian_test)
+        assert abs(rep.pairing_exp - conc.EXP_TOTAL_LIMIT) <= 1e-8 * conc.EXP_TOTAL_LIMIT
+        assert abs(rep.pairing_lap - 1.0) <= 1e-8
+
+
 def _quad_oracle(a: float, phi) -> dict:
     """The six split terms by scalar adaptive quadrature at tight tolerances,
     on the same substitutions and breakpoints as the pairings."""

@@ -1,3 +1,4 @@
+import re
 import runpy
 import types
 from pathlib import Path
@@ -6,7 +7,9 @@ import pytest
 
 import orlicz4d
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "orlicz4d"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_names_resolve_once_and_are_not_modules():
@@ -20,3 +23,15 @@ def test_all_names_resolve_once_and_are_not_modules():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_scipy_integrate_only_in_the_tracer_hook():
+    # closed forms use gridfn's graded Gauss-Legendre rule; concentration
+    # imports quad only as the name perfbench's tracer rebinds
+    pattern = re.compile(r"scipy\.integrate|from scipy import .*integrate|\bquad\(")
+    hits = [(p.name, line) for p in sorted(SRC.glob("*.py"))
+            for line in p.read_text().splitlines() if pattern.search(line)]
+    assert len(hits) == 1, hits
+    name, line = hits[0]
+    assert name == "concentration.py" and line.startswith("from scipy.integrate import quad  #")
+    assert "tracer" in line

@@ -18,6 +18,7 @@ from orlicz4d import gridfn
 from orlicz4d import serialize as ser
 from orlicz4d import verify
 from orlicz4d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from orlicz4d.concentration import EXP_TOTAL_LIMIT
 from orlicz4d.decompose import synthesize_family
 from orlicz4d.norms import NormKind
 from orlicz4d.orlicz import EXP_CAP, orlicz_norm_report, tm_functional
@@ -241,6 +242,25 @@ def test_cli_lemma_add1_csv(tmp_path):
     vals = row.split(",")
     assert abs(float(vals[1]) - 0.2006) <= 1e-3
     assert abs(float(vals[3]) - 0.5025) <= 1e-3
+
+
+def test_cli_lemma_add1_huge_alpha(capsys):
+    assert main(["lemma-add1", "--alpha", "1e6"]) == EXIT_OK
+    _, row = capsys.readouterr().out.strip().splitlines()
+    _, i4, _, i3, _ = (float(v) for v in row.split(","))
+    assert abs(i4 - (0.2 + 0.064e-6)) <= 1e-11 and abs(i3 - (0.5 + 0.25e-6)) <= 1e-11
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("alpha", ["1e10", "1e100", "1e300"])
+def test_cli_concentration_huge_alpha(tmp_path, alpha):
+    out = tmp_path / "conc.json"
+    assert main(["concentration", "--alpha", alpha, "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert abs(d["pairing_exp"] - EXP_TOTAL_LIMIT) <= 1e-8 * EXP_TOTAL_LIMIT
 
 
 def test_cli_concentration_json(tmp_path):
