@@ -68,6 +68,6 @@ print("=" * 72)
 print("4. The two log-weight integrals behind the annulus limit")
 print("=" * 72)
 for alpha in (25, 50, 100, 200):
-    i4, i3 = lemma_add1_integrals(alpha)
+    (i4, _), (i3, _) = lemma_add1_integrals(alpha)
     print(f"  alpha={alpha:>3}: r^4 weight {i4:.6f} (-> 1/5)   "
           f"r^3 weight {i3:.6f} (-> 1/2, both endpoints contribute)")

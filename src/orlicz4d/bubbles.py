@@ -702,8 +702,9 @@ def appendix_closed_forms(alpha: float) -> AppendixRecord:
     )
 
 
-def lemma_add1_integrals(alpha: float) -> tuple[float, float]:
-    """int_{e^-a}^1 r^4 e^{(4/a) log^2 r} dr and the r^3 variant.
+def lemma_add1_integrals(alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """int_{e^-a}^1 r^4 e^{(4/a) log^2 r} dr and the r^3 variant, each as
+    (value, estimated error) of the graded rule.
 
     In u = -log r the integrands are e^{-u(5 - 4u/a)} and e^{-4u(1 - u/a)}
     on [0, alpha]; the r^3 exponent returns to 0 at u = alpha, so that
@@ -715,7 +716,7 @@ def lemma_add1_integrals(alpha: float) -> tuple[float, float]:
         raise ValueError("alpha must be finite and >= 2")
     a = float(alpha)
     u, w = _graded_rule((0.0, a / 4, a / 2, 3 * a / 4, a), 0.25)
-    (i4, _), = _integrate(w, np.exp(-u * (5.0 - 4.0 * u / a)))
+    i4, = _integrate(w, np.exp(-u * (5.0 - 4.0 * u / a)))
     u, w = _graded_rule((0.0, a / 4, a / 2), 0.25)
-    (i3, _), = _integrate(w, 2.0 * np.exp(-4.0 * u * (1.0 - u / a)))
+    i3, = _integrate(w, 2.0 * np.exp(-4.0 * u * (1.0 - u / a)))
     return i4, i3

@@ -168,7 +168,7 @@ def run(args) -> int:
         _emit(rep.to_dict(), args.out)
 
     elif args.command == "lemma-add1":
-        i4, i3 = bb.lemma_add1_integrals(args.alpha)
+        (i4, _), (i3, _) = bb.lemma_add1_integrals(args.alpha)
         _emit("alpha,r4_integral,r4_limit,r3_integral,r3_limit\r\n"
               f"{args.alpha:.17g},{i4:.17g},0.2,{i3:.17g},0.5\r\n", args.out)
 

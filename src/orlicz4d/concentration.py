@@ -27,10 +27,18 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  (perfbench's tracer rebinds this name)
 
 from .bubbles import _step_down, eta_callables
 from .gridfn import _graded_rule, _integrate
+
+
+def __getattr__(name: str):
+    # scipy's integrators load only when something asks for ``quad``
+    if name == "quad":
+        from scipy.integrate import quad  # the name perfbench's tracer rebinds
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 PI2 = np.pi ** 2
 

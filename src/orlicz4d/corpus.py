@@ -8,9 +8,8 @@ stays in r <= 4), sampled onto a log-radius grid.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .gridfn import LogGrid, LogRadialFunction, compose_segments
+from .gridfn import CubicSpline, LogGrid, LogRadialFunction, compose_segments
 
 R_SUPPORT = 4.0
 N_KNOTS = 9

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bubbles import (BubbleSpec, MollifierSpec, Profile, bubble_values,
                       default_mollifier, narrow_mollifier)
-from .gridfn import LogGrid, LogRadialFunction, compose_segments, integrate_samples
+from .gridfn import (CubicSpline, LogGrid, LogRadialFunction, compose_segments,
+                     integrate_samples)
 from .norms import NormKind, norm
 from .orlicz import OrliczConfig, orlicz_norm
 
@@ -141,7 +141,7 @@ def detect_scale(member: LogRadialFunction, A0: float) -> float:
     # deterministic lattice polish inside the bracketing cells, on the spline
     # through nearby nodes (data 40 nodes away moves it far below rounding)
     near = slice(max(i0 + k - 40, 0), i0 + k + 41)
-    ratio_spline = CubicSpline(s[near], v[near] / A0, bc_type="not-a-knot")
+    ratio_spline = CubicSpline(s[near], v[near] / A0)
     lo, hi = s0[max(k - 1, 0)], s0[min(k + 1, s0.size - 1)]
     for _ in range(2):
         lattice = np.linspace(lo, hi, 129)

@@ -10,11 +10,12 @@ Under this substitution the radial integrals reduce to weighted 1D ones:
     ||(1/r) du/dr||_{L^2}^2  = 2 pi^2  int          |v'|^2 ds
     ||Lap u||_{L^2}^2        = 2 pi^2  int |-2 v' + v''|^2 ds
 
-This module provides the grid/value containers, cubic-spline interpolation
-(not-a-knot ends), second-order finite differences on nonuniform nodes, and
-the package's two quadrature rules: the spline-exact composite rule that all
-norms of sampled data share, and a graded composite Gauss-Legendre rule with
-an error estimate for integrands in closed form (_graded_rule, _integrate).
+This module provides the grid/value containers, the package's cubic spline
+(not-a-knot or clamped ends, built as scipy builds it), second-order finite
+differences on nonuniform nodes, and the package's two quadrature rules: the
+spline-exact composite rule that all norms of sampled data share, and a
+graded composite Gauss-Legendre rule with an error estimate for integrands
+in closed form (_graded_rule, _integrate).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 # Minimum node count for norm-grade grids (interpolation, differentiation
@@ -136,6 +136,47 @@ def bubble_grid(alpha: float, n_bubble: int = 2048) -> LogGrid:
 # values on a grid
 # --------------------------------------------------------------------------
 
+class CubicSpline:
+    """Cubic spline through (x, y), 1-D y and n >= 4 nodes, with not-a-knot or
+    clamped (zero end slope) ends.  It is built and evaluated operation for
+    operation as scipy 1.17's CubicSpline and PPoly, so its coefficients ``c``
+    (shape (4, n-1), highest degree first, about each piece's left node) and
+    its values carry the same bits; the end pieces extrapolate."""
+
+    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        n, dx = x.size, np.diff(x)
+        if n < 4:
+            raise ValueError("cubic spline needs at least 4 nodes")
+        if x.shape != y.shape or not (np.all(dx > 0) and np.all(np.isfinite(y))):
+            raise ValueError("spline needs increasing nodes and finite values")
+        slope = np.diff(y) / dx
+        # the slopes s solve a tridiagonal system; rows 0 and n-1 hold the ends
+        A, b = np.zeros((3, n)), np.empty(n)
+        A[1, 1:-1], A[0, 2:], A[-1, :-2] = 2 * (dx[:-1] + dx[1:]), dx[:-1], dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if bc_type == "clamped":
+            A[1, 0] = A[1, -1] = 1.0
+            b[0] = b[-1] = 0.0
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            A[1, 0], A[0, 1], A[1, -1], A[-1, -2] = dx[1], d0, dx[-2], d1
+            b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = solve_banded((1, 1), A, b[:, None], overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)[:, 0]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x, self.c = x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xq, "right") - 1, 0, self.x.size - 2)
+        z = xq - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        # PPoly's sum starts from 0.0, so a sum of signed zeros reads +0.0
+        return 0.0 + c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
+
+
 @dataclass
 class LogRadialFunction:
     """Samples v_i = v(s_i) = u(e^{-s_i}) of a radial function.
@@ -165,10 +206,7 @@ class LogRadialFunction:
 
     def spline(self) -> CubicSpline:
         if self._spline is None:
-            if self.grid.size < 4:
-                raise ValueError("cubic spline needs at least 4 nodes")
-            self._spline = CubicSpline(self.grid.nodes, self.values,
-                                       bc_type="not-a-knot")
+            self._spline = CubicSpline(self.grid.nodes, self.values)
         return self._spline
 
     def eval(self, s) -> np.ndarray | float:
@@ -216,7 +254,8 @@ class LogRadialFunction:
 
 def _fd_stencil(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """Interior 3-point stencils: weights of y[i-1], y[i], y[i+1] (order 1), divisors (2).
-    Order 1 adds the one-sided end weights of y[0], y[1], y[2] and y[-1], y[-2], y[-3]."""
+    Order 1 adds the one-sided end weights of y[0], y[1], y[2] and y[-1], y[-2], y[-3];
+    order 2 the spacings of the first and last three nodes."""
     hm, hp = x[1:-1] - x[:-2], x[2:] - x[1:-1]
     if order == 1:
         h1, h2, g1, g2 = x[1] - x[0], x[2] - x[1], x[-1] - x[-2], x[-2] - x[-3]
@@ -225,7 +264,9 @@ def _fd_stencil(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
                          [(2 * g1 + g2) / (g1 * (g1 + g2)), -((g1 + g2) / (g1 * g2)),
                           g1 / (g2 * (g1 + g2))]])
         return -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)), ends
-    return hm * (hm + hp), hm * hp, hp * (hm + hp)
+    ends = np.array([x[1] - x[0], x[2] - x[1], x[2] - x[0],
+                     x[-2] - x[-3], x[-1] - x[-2], x[-1] - x[-3]])
+    return hm * (hm + hp), hm * hp, hp * (hm + hp), ends
 
 
 def _fd_derivative(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
@@ -236,18 +277,13 @@ def _fd_derivative(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
         out[0] = e[0, 0] * y[0] + e[0, 1] * y[1] + e[0, 2] * y[2]
         out[-1] = e[1, 0] * y[-1] + e[1, 1] * y[-2] + e[1, 2] * y[-3]
     else:
-        a, b, c = grid_memo(x, "fd2", lambda x: _fd_stencil(x, 2))
+        a, b, c, e = grid_memo(x, "fd2", lambda x: _fd_stencil(x, 2))
+        h1, h2, h02, g1, g2, g02 = e.tolist()
         out[1:-1] = 2.0 * (y[:-2] / a - y[1:-1] / b + y[2:] / c)
         # boundary: curvature of the one-sided quadratic (= 2nd divided difference)
-        out[0] = 2.0 * _divdiff2(x[:3], y[:3])
-        out[-1] = 2.0 * _divdiff2(x[-3:], y[-3:])
+        out[0] = 2.0 * (((y[2] - y[1]) / h2 - (y[1] - y[0]) / h1) / h02)
+        out[-1] = 2.0 * (((y[-1] - y[-2]) / g2 - (y[-2] - y[-3]) / g1) / g02)
     return out
-
-
-def _divdiff2(x: np.ndarray, y: np.ndarray) -> float:
-    d01 = (y[1] - y[0]) / (x[1] - x[0])
-    d12 = (y[2] - y[1]) / (x[2] - x[1])
-    return (d12 - d01) / (x[2] - x[0])
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +320,7 @@ def _spline_weights(x: np.ndarray) -> np.ndarray:
     through (x, y) over [x_0, x_{n-1}], for n >= 4 strictly increasing nodes.
 
     The spline's nodal slopes k solve the tridiagonal system A k = C D y of
-    scipy's CubicSpline (D: divided differences, C: the slope rows with the
+    CubicSpline (D: divided differences, C: the slope rows with the
     not-a-knot ends).  Each cubic Hermite piece integrates to
     h (y_i + y_{i+1}) / 2 + h^2 (k_i - k_{i+1}) / 12, so the integral is
     t @ y + g @ k and w = t + D^T C^T z with A^T z = g: one O(n) solve.
@@ -358,9 +394,10 @@ def _graded_rule(points: tuple[float, ...], h0: float) -> tuple[np.ndarray, np.n
         d = h0 * (2.0 ** np.arange(1, 64) - 1.0)
         d = d[d < 0.5 * (hi - lo)]
         edges.extend([*(lo + d), 0.5 * (lo + hi), *(hi - d[::-1]), hi])
-    edges = np.asarray(edges)
+    # offsets below the rounding unit of lo or hi repeat an edge: keep each once
+    edges = np.unique(edges)
     x0, w0 = _gauss_legendre(edges)
-    x1, w1 = _gauss_legendre(np.sort(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
+    x1, w1 = _gauss_legendre(np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
     weights = np.zeros((2, x0.size + x1.size))
     weights[0, :x0.size], weights[1, x0.size:] = w0, w1
     nodes = np.r_[x0, x1]

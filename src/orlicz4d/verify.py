@@ -4,8 +4,9 @@ numerically at desk scale, as machine-readable pass/fail rows.
 Each row carries the measured value, its target, the tolerance at which it
 is judged, and the provenance of the target (closed-form oracle, quadrature
 oracle, asymptotic limit, or property).  Rows whose value is an Orlicz norm,
-a concentration pairing or a mollifier's mass also carry its estimated
-quadrature error, in the value's units.  A suite passes iff all rows do.
+a concentration pairing, a log-weight integral or a mollifier's mass also
+carry its estimated quadrature error, in the value's units.  A suite passes
+iff all rows do.
 """
 
 from __future__ import annotations
@@ -185,20 +186,21 @@ def suite_concentration(seed: int = 7) -> SuiteReport:
                 "asymptotic limit", estimate=es[-1][1],
                 passed=all(e0 - d0 > e1 + d1 for (e0, d0), (e1, d1) in zip(es, es[1:])))
 
-    prev4 = prev3 = None
+    prev = None
     for a in (25, 50, 100, 200):
-        i4, i3 = bb.lemma_add1_integrals(a)
+        pairs = bb.lemma_add1_integrals(a)
+        # (|value - limit|, estimate) of the r^4 and r^3 integrals
+        errs = [(abs(v - lim), e) for (v, e), lim in zip(pairs, (0.2, 0.5))]
         if a == 100:
-            rep.add("log-weight r^4 integral alpha=100", i4, 0.2, 0.02,
-                    "asymptotic limit")
-            rep.add("log-weight r^3 integral alpha=100", i3, 0.5, 0.02,
-                    "asymptotic limit")
-        if prev4 is not None:
-            rep.add(f"r^4 error decreasing at alpha={a}", abs(i4 - 0.2), prev4,
-                    0.0, "asymptotic limit", passed=abs(i4 - 0.2) < prev4)
-            rep.add(f"r^3 error decreasing at alpha={a}", abs(i3 - 0.5), prev3,
-                    0.0, "asymptotic limit", passed=abs(i3 - 0.5) < prev3)
-        prev4, prev3 = abs(i4 - 0.2), abs(i3 - 0.5)
+            for k, (v, e), lim in zip(("r^4", "r^3"), pairs, (0.2, 0.5)):
+                rep.add(f"log-weight {k} integral alpha=100", v, lim, 0.02,
+                        "asymptotic limit", estimate=e)
+        if prev is not None:
+            # each step down must exceed both estimates
+            for k, (d0, e0), (d1, e1) in zip(("r^4", "r^3"), prev, errs):
+                rep.add(f"{k} error decreasing at alpha={a}", d1, d0, 0.0,
+                        "asymptotic limit", estimate=e1, passed=d0 - d1 > e0 + e1)
+        prev = errs
     return rep
 
 

@@ -372,7 +372,7 @@ def test_bubble_orlicz_g_vs_h():
 # ------------------------------------------------------ log-weight integrals
 
 def test_lemma_add1_values_at_100():
-    i4, i3 = bb.lemma_add1_integrals(100.0)
+    (i4, _), (i3, _) = bb.lemma_add1_integrals(100.0)
     assert abs(i4 - 0.200646) <= 2e-5
     assert abs(i3 - 0.502538) <= 2e-5
 
@@ -380,7 +380,7 @@ def test_lemma_add1_values_at_100():
 def test_lemma_add1_trend_to_limits():
     errs4, errs3 = [], []
     for a in (25.0, 50.0, 100.0, 200.0):
-        i4, i3 = bb.lemma_add1_integrals(a)
+        (i4, _), (i3, _) = bb.lemma_add1_integrals(a)
         errs4.append(abs(i4 - 0.2))
         errs3.append(abs(i3 - 0.5))
     assert all(x > y for x, y in zip(errs4, errs4[1:]))
@@ -389,7 +389,7 @@ def test_lemma_add1_trend_to_limits():
 
 def test_lemma_add1_endpoint_degeneracy():
     # the r^4 weight kills the deep endpoint: the limit is 1/5, not 2/5
-    i4, _ = bb.lemma_add1_integrals(400.0)
+    (i4, _), _ = bb.lemma_add1_integrals(400.0)
     assert abs(i4 - 0.2) <= 5e-4
     assert i4 < 0.3
 
@@ -399,6 +399,6 @@ def test_lemma_add1_large_alpha_expansions(alpha):
     # e^{4u^2/a} = 1 + 4u^2/a + 8u^4/a^2 + O(u^6/a^3) under e^{-5u} and (twice,
     # by the u <-> alpha - u symmetry) under e^{-4u}; the next terms are below
     # 1e-12 from alpha = 1e4 on
-    i4, i3 = bb.lemma_add1_integrals(alpha)
+    (i4, _), (i3, _) = bb.lemma_add1_integrals(alpha)
     assert abs(i4 - (0.2 + 0.064 / alpha + 0.06144 / alpha ** 2)) <= 1e-11
     assert abs(i3 - (0.5 + 0.25 / alpha + 0.375 / alpha ** 2)) <= 1e-11

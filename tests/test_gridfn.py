@@ -96,6 +96,42 @@ def test_eval_outside_span_raises():
         f.eval(1.5)
 
 
+@st.composite
+def spline_data(draw):
+    """4-300 nodes with cells log-uniform over [1e-4, 10], values at any scale,
+    a third of them set to signed zeros in some draws; either end condition."""
+    n = draw(st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = np.exp(rng.uniform(np.log(1e-4), np.log(10.0), n - 1))
+    x = rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(h)])
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if draw(st.booleans()):
+        y[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+    return x, y, draw(st.sampled_from(["not-a-knot", "clamped"])), rng
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=spline_data())
+def test_cubic_spline_bit_identical_to_scipy(data):
+    # scipy's CubicSpline is the oracle: same coefficients and values, bit for
+    # bit, between nodes, at them, at the last node and past both ends
+    x, y, bc, rng = data
+    got, want = gridfn.CubicSpline(x, y, bc), CubicSpline(x, y, bc_type=bc)
+    assert got.c.shape == want.c.shape and got.c.tobytes() == want.c.tobytes()
+    span = x[-1] - x[0]
+    pts = np.concatenate([rng.uniform(x[0], x[-1], 400), x, [x[-1]],
+                          [x[0] - 0.1 * span, x[-1] + 0.1 * span]])
+    assert got(pts).tobytes() == want(pts).tobytes()
+
+
+def test_cubic_spline_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        gridfn.CubicSpline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    for x, y in (([0.0, 1.0, 1.0, 2.0], [0.0] * 4), ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 0, 0])):
+        with pytest.raises(ValueError, match="increasing nodes and finite values"):
+            gridfn.CubicSpline(x, y)
+
+
 # -------------------------------------------------------- differentiation --
 
 def test_derivative_of_constant_is_zero():
@@ -296,3 +332,16 @@ def test_grid_invariants():
         LogGrid(np.array([[0.0, 1.0]]))
     g = uniform_grid(-1.0, 2.0, 12)
     assert g.s_min < 0 < g.s_max
+
+
+@pytest.mark.parametrize("alpha", [1e10, 1e100, 1e300])
+def test_graded_rule_every_node_carries_weight(alpha):
+    # panel offsets below the rounding unit of alpha used to repeat edges, so
+    # most nodes of a huge-alpha rule sat on zero-width panels
+    for points in ((0.0, 2.0, alpha / 4, alpha / 2),       # concentration's annulus
+                   (0.0, alpha / 4, alpha / 2, 3 * alpha / 4, alpha),   # lemma-add1 r^4
+                   (0.0, alpha / 4, alpha / 2)):           # lemma-add1 r^3
+        x, w = gridfn._graded_rule(points, 0.25)
+        assert np.all(np.count_nonzero(w, axis=0) == 1)
+        for row in w:
+            assert np.all(np.diff(x[row != 0]) > 0)

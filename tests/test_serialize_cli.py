@@ -230,7 +230,7 @@ def test_cli_lemma_add1_stdout(capsys):
     assert main(["lemma-add1", "--alpha", "100"]) == EXIT_OK
     header, row = capsys.readouterr().out.strip().splitlines()
     assert header == "alpha,r4_integral,r4_limit,r3_integral,r3_limit"
-    i4, i3 = bb.lemma_add1_integrals(100.0)
+    (i4, _), (i3, _) = bb.lemma_add1_integrals(100.0)
     assert row.split(",") == ["100", f"{i4:.17g}", "0.2", f"{i3:.17g}", "0.5"]
 
 
@@ -417,7 +417,10 @@ def test_cli_three_node_input_is_validation_failure(tmp_path, capsys):
 
 def test_cli_overflow_prints_one_line(tmp_path):
     # a fresh interpreter that prints every warning every time: numpy's
-    # overflow and invalid warnings used to print ahead of the failure line
+    # overflow and invalid warnings used to print ahead of the failure line.
+    # It also checks the import footprint: neither importing the package nor
+    # the norm runs and a gen-falpha, orlicz, concentration pipeline after
+    # them load scipy.interpolate or scipy.integrate
     src = str(Path(orlicz4d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     big, alternating = str(tmp_path / "big.json"), str(tmp_path / "alternating.json")
@@ -430,15 +433,27 @@ def test_cli_overflow_prints_one_line(tmp_path):
     f = gridfn.LogRadialFunction(g, np.where(np.arange(64) % 2 == 0, 1e307, -1e307))
     _write(alternating, ser.logradial_to_dict(f))
     runs = [big, "H2_SUM"] + [a for k in NormKind for a in (alternating, k.name)]
+    f, o, c = (str(tmp_path / n) for n in ("f.json", "o.json", "c.json"))
     driver = ("import sys, warnings\n"
               "warnings.simplefilter('always')\n"
+              "import orlicz4d\n"
               "from orlicz4d.cli import main\n"
+              "def loaded():\n"
+              "    print(*(m in sys.modules for m in ('scipy.interpolate', 'scipy.integrate')))\n"
+              "loaded()\n"
               "for path, k in zip(sys.argv[1::2], sys.argv[2::2]):\n"
               "    print(main(['norm', '--in', path, '--which', k]), flush=True)\n"
-              "    print('--', file=sys.stderr, flush=True)\n")
+              "    print('--', file=sys.stderr, flush=True)\n"
+              f"print(main(['gen-falpha', '--alpha', '20', '--out', {f!r}]),\n"
+              f"      main(['orlicz', '--in', {f!r}, '--out', {o!r}]),\n"
+              f"      main(['concentration', '--alpha', '20', '--out', {c!r}]))\n"
+              "loaded()\n")
     proc = subprocess.run([sys.executable, "-c", driver, *runs],
                           env=env, capture_output=True, text=True)
-    assert proc.stdout.split() == [str(EXIT_NUMERICAL)] * (len(runs) // 2)
+    out = proc.stdout.splitlines()
+    assert out[0] == out[-1] == "False False"
+    assert out[1:-2] == [str(EXIT_NUMERICAL)] * (len(runs) // 2)
+    assert out[-2].split() == [str(EXIT_OK)] * 3
     per_run = proc.stderr.split("--\n")
     assert len(per_run) == len(runs) // 2 + 1 and per_run[-1] == ""
     for err in per_run[:-1]:
