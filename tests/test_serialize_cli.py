@@ -433,7 +433,7 @@ def test_cli_overflow_prints_one_line(tmp_path):
     f = gridfn.LogRadialFunction(g, np.where(np.arange(64) % 2 == 0, 1e307, -1e307))
     _write(alternating, ser.logradial_to_dict(f))
     runs = [big, "H2_SUM"] + [a for k in NormKind for a in (alternating, k.name)]
-    f, o, c = (str(tmp_path / n) for n in ("f.json", "o.json", "c.json"))
+    fpath, opath, cpath = (str(tmp_path / n) for n in ("f.json", "o.json", "c.json"))
     driver = ("import sys, warnings\n"
               "warnings.simplefilter('always')\n"
               "import orlicz4d\n"
@@ -444,9 +444,9 @@ def test_cli_overflow_prints_one_line(tmp_path):
               "for path, k in zip(sys.argv[1::2], sys.argv[2::2]):\n"
               "    print(main(['norm', '--in', path, '--which', k]), flush=True)\n"
               "    print('--', file=sys.stderr, flush=True)\n"
-              f"print(main(['gen-falpha', '--alpha', '20', '--out', {f!r}]),\n"
-              f"      main(['orlicz', '--in', {f!r}, '--out', {o!r}]),\n"
-              f"      main(['concentration', '--alpha', '20', '--out', {c!r}]))\n"
+              f"print(main(['gen-falpha', '--alpha', '20', '--out', {fpath!r}]),\n"
+              f"      main(['orlicz', '--in', {fpath!r}, '--out', {opath!r}]),\n"
+              f"      main(['concentration', '--alpha', '20', '--out', {cpath!r}]))\n"
               "loaded()\n")
     proc = subprocess.run([sys.executable, "-c", driver, *runs],
                           env=env, capture_output=True, text=True)
