@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -29,17 +28,6 @@ from .verify import run_suite
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-DEFAULT_BUDGET = 2048
-
-
-def _node_budget() -> int:
-    """Grid density of the generators: ORLICZ4D_NODE_BUDGET, read per run so
-    that a bad value is a validation failure, not an import error."""
-    raw = os.environ.get("ORLICZ4D_NODE_BUDGET", str(DEFAULT_BUDGET))
-    if not raw.strip().isdecimal() or int(raw) <= 0:
-        raise ValueError(f"ORLICZ4D_NODE_BUDGET must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _orlicz_config(args) -> OrliczConfig:
@@ -137,15 +125,12 @@ def _emit(payload: dict | str, out: str | None) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def run(args) -> int:
     if args.command == "gen-falpha":
-        refine = max(_node_budget() / DEFAULT_BUDGET, 0.25)
-        f = bb.make_falpha(args.alpha, grid=bb.falpha_grid(args.alpha, refine=refine))
-        _emit(ser.logradial_to_dict(f), args.out)
+        _emit(ser.logradial_to_dict(bb.make_falpha(args.alpha)), args.out)
 
     elif args.command == "gen-bubble":
         spec = bb.BubbleSpec(alpha=args.alpha, profile=_load_profile(args.profile),
                              mollified=args.mollified == "true")
-        grid = bb.bubble_grid(args.alpha, n_bubble=_node_budget())
-        _emit(ser.logradial_to_dict(bb.make_bubble(spec, grid=grid)), args.out)
+        _emit(ser.logradial_to_dict(bb.make_bubble(spec)), args.out)
 
     elif args.command == "norm":
         f = ser.logradial_from_dict(ser.read_json(args.infile))

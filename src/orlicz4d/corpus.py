@@ -24,8 +24,6 @@ def _random_smooth_radial(rng: np.random.Generator, grid: LogGrid) -> LogRadialF
     knots = np.linspace(0.0, R_SUPPORT, N_KNOTS)
     y = rng.normal(0.0, 1.0, N_KNOTS)
     y[-1] = 0.0
-    if np.allclose(y, 0.0):
-        y[N_KNOTS // 2] = 1.0  # never return the zero function
     sp = CubicSpline(knots, y, bc_type="clamped")
     r = np.exp(-grid.nodes)
     inside = r <= R_SUPPORT

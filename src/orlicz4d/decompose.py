@@ -211,8 +211,7 @@ def _stabilized_snapshot(y: np.ndarray, psi_last: np.ndarray, psi_prev: np.ndarr
     if scale == 0.0:
         return psi_last
     d = psi_last - psi_prev
-    tail = d[y >= 0.5 * y[-1]]
-    med = float(np.median(tail)) if tail.size else 0.0
+    med = float(np.median(d[y >= 0.5 * y[-1]]))   # y[-1] >= 0: never empty
     # two signatures fire the cleanup: a plateau offset (subordinate bubble
     # with a non-decaying profile) or a large localized disagreement
     # (subordinate bubble with a compact profile); mere extraction noise

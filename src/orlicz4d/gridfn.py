@@ -113,23 +113,20 @@ def compose_segments(segments: list[tuple[float, float, int]]) -> LogGrid:
     return LogGrid(np.concatenate(parts))
 
 
-def bubble_grid(alpha: float, n_bubble: int = 2048) -> LogGrid:
+def bubble_grid(alpha: float) -> LogGrid:
     """Graded grid for scale-alpha bubbles: nodes cluster in [0, 1.5 alpha].
 
-    Spacing in the active region is <= alpha / n_bubble; the corner of the
-    profile variable at s = alpha lands exactly on a node.  A short uniform
-    tail covers where e^{-4(s - alpha)} has died.
+    Fixed density, 2,236 nodes: 64 on [-1.5, 0], 1365 on [0, alpha] (spacing
+    alpha/1364), 682 on [alpha, 1.5 alpha] (alpha/1362) and 128 on the tail
+    [1.5 alpha, 1.5 alpha + 14], where e^{-4(s - alpha)} has died.  The
+    corner of the profile variable at s = alpha lands exactly on a node.
+    Callers that want another density pass their own grid to make_bubble.
     """
     if not 1 <= alpha < np.inf:
         raise ValueError("bubble grids need finite alpha >= 1")
-    n_core = max(int(n_bubble), 256)
-    n_head = max(24, n_core // 32)
-    return compose_segments([
-        (-1.5, 0.0, n_head),
-        (0.0, float(alpha), 2 * n_core // 3),
-        (float(alpha), 1.5 * float(alpha), n_core // 3),
-        (1.5 * float(alpha), 1.5 * float(alpha) + 14.0, max(64, n_core // 16)),
-    ])
+    a = float(alpha)
+    return compose_segments([(-1.5, 0.0, 64), (0.0, a, 1365), (a, 1.5 * a, 682),
+                             (1.5 * a, 1.5 * a + 14.0, 128)])
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from orlicz4d import bubbles as bb
 from orlicz4d import concentration as conc
+from orlicz4d.gridfn import compose_segments
 from orlicz4d.norms import NormKind, norm
 from orlicz4d.orlicz import OrliczConfig, orlicz_norm
 
@@ -61,6 +62,8 @@ def test_profile_invariants():
         assert float(prof.eval(0.0)) == 0.0
         assert abs(prof.deriv_l2 - dl2) <= 1e-15 * dl2
         assert prof.holder_max_ratio(rng) <= 1.0 + 1e-6
+    zero = bb.Profile(np.linspace(0.0, 10.0, 64), np.zeros(64), tag="zero")
+    assert zero.deriv_l2 == 0.0 and zero.holder_max_ratio(rng) == 0.0
 
 
 def test_profile_validation():
@@ -241,6 +244,17 @@ def test_mollified_moments_match_rule():
     assert all(hits.values()), hits
 
 
+def test_mollified_row_wider_than_a_block():
+    # at alpha 1 the standard bump's window covers all 10,002 pieces of a
+    # 10,001-node profile, more than one block of (row, piece) pairs holds
+    s = np.linspace(0.0, 1.5, 10001)
+    psi = bb.Profile(s, np.sin(3.0 * s) + s, tag="smooth")
+    rho = bb.default_mollifier()
+    y = np.array([0.75, 1.0, 1.5, 2.0])
+    np.testing.assert_allclose(bb.mollified_profile_values(psi, 1.0, rho, y),
+                               _rule_sum(psi, 1.0, rho, y), rtol=0, atol=1e-14)
+
+
 def test_mollified_closed_form_profile_keeps_rule():
     # a profile with a closed form sums the rule itself, bit for bit
     L = bb.profile_L()
@@ -290,7 +304,9 @@ def test_falpha_gradient_identity_fine_grid():
     # grad^2 = e^{-2a}/(24a) + (1-e^{-2a})/(8a) + ||grad eta||^2 at 1e-6 rel
     a = 10.0
     from orlicz4d.norms import norms_squared
-    f = bb.make_falpha(a, grid=bb.falpha_grid(a, refine=4.0))
+    # a plain fine grid (65,599 nodes) with both kinks on nodes
+    grid = compose_segments([(-0.75, 0.0, 5600), (0.0, a, 40001), (a, a + 14.0, 20000)])
+    f = bb.make_falpha(a, grid=grid)
     rec = bb.appendix_closed_forms(a)
     got = norms_squared(f)["grad"]
     assert abs(got - rec.grad_total) <= 1e-6 * rec.grad_total

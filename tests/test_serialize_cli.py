@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,8 +135,7 @@ PINNED_ARTIFACTS = {
 
 
 @pytest.mark.parametrize("alpha", sorted(PINNED_ARTIFACTS))
-def test_cli_artifacts_pinned(alpha, tmp_path, monkeypatch):
-    monkeypatch.delenv("ORLICZ4D_NODE_BUDGET", raising=False)
+def test_cli_artifacts_pinned(alpha, tmp_path):
     f, o, t = (str(tmp_path / n) for n in ("f.json", "o.json", "t.json"))
     assert main(["gen-falpha", "--alpha", alpha, "--out", f]) == EXIT_OK
     assert main(["orlicz", "--in", f, "--out", o]) == EXIT_OK
@@ -371,30 +371,22 @@ def test_cli_validation_failures(tmp_path):
     assert main(["no-such-command"]) == EXIT_VALIDATION
 
 
-def test_cli_bad_node_budget_is_validation_failure(tmp_path, monkeypatch, capsys):
-    # read per run: a value parsed at import time would miss this one, and
-    # the run would exit 0
-    monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", "abc")
-    out = tmp_path / "f.json"
-    assert main(["gen-falpha", "--alpha", "10", "--out", str(out)]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "ORLICZ4D_NODE_BUDGET" in err
-    assert not out.exists()
+@pytest.mark.parametrize("budget", ["4096", "0", "abc"])
+def test_cli_generators_ignore_the_environment(budget, tmp_path, monkeypatch):
+    # artifact bytes are a function of the command line: a grid-density
+    # variable in the environment, good value or bad, changes nothing
+    commands = (["gen-falpha", "--alpha", "10"], ["gen-bubble", "--alpha", "24"])
 
+    def artifacts(tag):
+        paths = [tmp_path / f"{tag}{i}.json" for i in range(len(commands))]
+        for argv, path in zip(commands, paths):
+            assert main(argv + ["--out", str(path)]) == EXIT_OK
+        return [p.read_bytes() for p in paths]
 
-def test_cli_node_budget_read_per_run(tmp_path, monkeypatch):
-    def falpha_nodes(budget):
-        monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", budget)
-        out = tmp_path / f"f{budget}.json"
-        assert main(["gen-falpha", "--alpha", "10", "--out", str(out)]) == EXIT_OK
-        with open(out) as fh:
-            return len(json.load(fh)["grid_s"])
-
-    assert falpha_nodes("4096") > falpha_nodes("2048")
-    monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", "0")
-    assert main(["gen-bubble", "--alpha", "24",
-                 "--out", str(tmp_path / "b.json")]) == EXIT_VALIDATION
+    monkeypatch.delenv("ORLICZ4D_NODE_BUDGET", raising=False)
+    unset = artifacts("unset")
+    monkeypatch.setenv("ORLICZ4D_NODE_BUDGET", budget)
+    assert artifacts("set") == unset
 
 
 def test_cli_three_node_input_is_validation_failure(tmp_path, capsys):
@@ -519,6 +511,17 @@ def test_verify_row_estimate_counts_against_tolerance():
     rep.add("no estimate", 1.0, 1.5, 0.6, "property")
     assert [r.passed for r in rep.rows] == [True, False, True]
     assert "est=0.05" in rep.rows[0].line() and "est=" not in rep.rows[2].line()
+
+
+def test_verify_detection_invariance_row_can_fail(monkeypatch):
+    # a detector that is not scale-invariant mismatches on all 20 x 3 pairs;
+    # the stub decomposition has no components, so its rows are skipped
+    monkeypatch.setattr(verify, "decompose",
+                        lambda fam, cfg: SimpleNamespace(A_history=[], components=[]))
+    monkeypatch.setattr(verify, "detect_scale", lambda f, A0: A0)
+    row = verify.suite_decomposition(7).rows[-1]
+    assert row.name == "detection invariance under scaling (20 members x 3 factors)"
+    assert row.value == 60 and not row.passed
 
 
 def test_cli_verify_failing_row_exits_numerical_and_writes_out(tmp_path, monkeypatch, capsys):
