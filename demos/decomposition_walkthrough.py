@@ -13,28 +13,25 @@ Run:  python demos/decomposition_walkthrough.py
 
 import numpy as np
 
-from orlicz4d import (BubbleSpec, OrliczConfig, decompose, default_mollifier,
-                      orlicz_norm, profile_L, profile_cusp, synthesize_family)
+from orlicz4d import (BubbleSpec, OrliczConfig, decompose, orlicz_norm, profile_L,
+                      profile_cusp, synthesize_family)
 
 cfg = OrliczConfig(lambda_tol=2e-4)
-rho = default_mollifier()
 indices = [8, 16, 32, 64]
 
 print("family: members u_n = bubble(L at scale n) + bubble(cusp at scale n^2)")
 fam = synthesize_family(indices, lambda n: [
-    BubbleSpec(alpha=float(n), profile=profile_L(), mollifier=rho,
-               mollified=False),
-    BubbleSpec(alpha=float(n * n), profile=profile_cusp(), mollifier=rho,
-               mollified=False)])
+    BubbleSpec(alpha=float(n), profile=profile_L(), mollifier=None),
+    BubbleSpec(alpha=float(n * n), profile=profile_cusp(), mollifier=None)])
 
 res = decompose(fam, cfg)
 
 print(f"\ncomponents found: {len(res.components)}")
-for j, (sc, psi) in enumerate(res.components):
+for j, ((sc, psi), delta) in enumerate(zip(res.components, res.diagnostics["stabilization"])):
     print(f"  component {j}: scales per index = {np.round(sc.alpha, 2)}")
     print(f"               ||psi'|| = {psi.deriv_l2:.4f}, "
           f"profile plateau = {psi.values.max():.4f}, "
-          f"snapshot stabilization delta = {psi.stabilization:.2e}")
+          f"snapshot stabilization delta = {delta:.2e}")
 
 print("\nOrlicz mass ladder (A_0 then after each subtraction):")
 print("  " + "  ->  ".join(f"{a:.5f}" for a in res.A_history))

@@ -12,7 +12,7 @@ quantitative claim into pass/fail suites; cli exposes the lot.
 
 from .bubbles import (ORLICZ_LIMIT_CONST, BubbleSpec, MollifierSpec, Profile,
                       alternative_mollifier, appendix_closed_forms, bubble_values,
-                      default_mollifier, eta_callables, lemma_add1_integrals,
+                      default_mollifier, eta_jet, lemma_add1_integrals,
                       make_bubble, make_falpha, narrow_mollifier, profile_L,
                       profile_cusp, profile_orlicz_limit, profile_tent)
 from .concentration import gaussian_test, pair_concentration
@@ -33,7 +33,7 @@ from .verify import run_suite
 __all__ = [
     "ORLICZ_LIMIT_CONST", "BubbleSpec", "MollifierSpec", "Profile",
     "alternative_mollifier", "appendix_closed_forms", "bubble_values",
-    "default_mollifier", "eta_callables", "lemma_add1_integrals", "make_bubble",
+    "default_mollifier", "eta_jet", "lemma_add1_integrals", "make_bubble",
     "make_falpha", "narrow_mollifier", "profile_L", "profile_cusp",
     "profile_orlicz_limit", "profile_tent",
     "gaussian_test", "pair_concentration",

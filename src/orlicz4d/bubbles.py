@@ -45,113 +45,62 @@ ETA_LAP_COEF = 11.463862005746876
 
 
 # --------------------------------------------------------------------------
-# all-derivatives-flat step and the eta ramp, with analytic derivatives
+# all-derivatives-flat step and the eta ramp, each with its analytic jet
 # --------------------------------------------------------------------------
 
-def _bump_exp(v):
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    m = v > 0
-    out[m] = np.exp(-1.0 / v[m])
-    return out
-
-
 def _step_down(u):
-    """C-infinity decreasing step: 1 at u<=0, 0 at u>=1, flat at both ends."""
+    """C-infinity decreasing step S, 1 at u<=0, 0 at u>=1, flat at both ends;
+    stacked (S, S', S'')."""
     u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    out[u >= 1.0] = 0.0
-    m = (u > 0.0) & (u < 1.0)
-    bm = _bump_exp(1.0 - u[m])
-    bp = _bump_exp(u[m])
-    out[m] = bm / (bp + bm)
-    return out
-
-
-def _step_down_d1(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
+    out = np.zeros((3,) + u.shape)
+    out[0] = 1.0
+    out[0, u >= 1.0] = 0.0
     m = (u > 0.0) & (u < 1.0)
     um = u[m]
-    bm = _bump_exp(1.0 - um)
-    bp = _bump_exp(um)
-    d = bp + bm
-    q = um ** -2 + (1.0 - um) ** -2
-    out[m] = -bm * bp * q / d ** 2
-    return out
-
-
-def _step_down_d2(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
-    um = u[m]
-    bm = _bump_exp(1.0 - um)
-    bp = _bump_exp(um)
+    bm = np.exp(-1.0 / (1.0 - um))
+    bp = np.exp(-1.0 / um)
     d = bp + bm
     dprime = bp / um ** 2 - bm / (1.0 - um) ** 2
     q = um ** -2 + (1.0 - um) ** -2
     p = um ** -2 - (1.0 - um) ** -2
     qprime = -2.0 * um ** -3 + 2.0 * (1.0 - um) ** -3
-    out[m] = (-bm * bp * (p * q + qprime) / d ** 2
-              + 2.0 * bm * bp * q * dprime / d ** 3)
+    out[:, m] = (bm / d, -bm * bp * q / d ** 2,
+                 -bm * bp * (p * q + qprime) / d ** 2 + 2.0 * bm * bp * q * dprime / d ** 3)
     return out
 
 
 def _eta_ramp(t):
     """w(t) = 0.5 (1 - (1+t)^{-2}) * step((t-c)/(1-c)), c = ETA_CUT_START;
-    w(0)=0, w'(0)=1."""
+    stacked (w, w', w'') on 0 <= t < 1, 0 elsewhere: w(0)=0, w'(0)=1, w''(0)=-3."""
     t, c = np.asarray(t, dtype=float), ETA_CUT_START
     base = 0.5 * (1.0 - (1.0 + t) ** -2)
-    return np.where((t > 0) & (t < 1), base * _step_down((t - c) / (1.0 - c)), 0.0)
+    s0, s1, s2 = _step_down((t - c) / (1.0 - c))
+    jet = (base * s0,
+           (1.0 + t) ** -3 * s0 + base * s1 / (1.0 - c),
+           -3.0 * (1.0 + t) ** -4 * s0 + 2.0 * (1.0 + t) ** -3 * s1 / (1.0 - c)
+           + base * s2 / (1.0 - c) ** 2)
+    return np.where((t >= 0) & (t < 1), jet, 0.0)
 
 
-def _eta_ramp_d1(t):
-    t, c = np.asarray(t, dtype=float), ETA_CUT_START
-    u = (t - c) / (1.0 - c)
-    base = 0.5 * (1.0 - (1.0 + t) ** -2)
-    d = (1.0 + t) ** -3 * _step_down(u) + base * _step_down_d1(u) / (1.0 - c)
-    return np.where((t > 0) & (t < 1), d, np.where(t == 0.0, 1.0, 0.0))
-
-
-def _eta_ramp_d2(t):
-    t, c = np.asarray(t, dtype=float), ETA_CUT_START
-    u = (t - c) / (1.0 - c)
-    base = 0.5 * (1.0 - (1.0 + t) ** -2)
-    d = (-3.0 * (1.0 + t) ** -4 * _step_down(u)
-         + 2.0 * (1.0 + t) ** -3 * _step_down_d1(u) / (1.0 - c)
-         + base * _step_down_d2(u) / (1.0 - c) ** 2)
-    return np.where((t > 0) & (t < 1), d, np.where(t == 0.0, -3.0, 0.0))
-
-
-def eta_callables(alpha: float):
-    """(eta, eta', eta'', Lap eta) as callables of r on [1, infinity)."""
+def eta_jet(alpha: float):
+    """r -> (eta, eta', eta'', Lap eta) stacked, on [1, infinity)."""
     if not 2 <= alpha < np.inf:
         raise ValueError("eta needs finite alpha >= 2")
     amp = -1.0 / np.sqrt(8.0 * PI2 * alpha)
 
-    def eta(r):
-        return amp * _eta_ramp(np.asarray(r, dtype=float) - 1.0)
-
-    def deta(r):
-        return amp * _eta_ramp_d1(np.asarray(r, dtype=float) - 1.0)
-
-    def d2eta(r):
-        return amp * _eta_ramp_d2(np.asarray(r, dtype=float) - 1.0)
-
-    def lap_eta(r):
+    def jet(r):
         r = np.asarray(r, dtype=float)
-        return d2eta(r) + 3.0 * deta(r) / r
+        eta, deta, d2eta = amp * _eta_ramp(r - 1.0)
+        return np.stack((eta, deta, d2eta, d2eta + 3.0 * deta / r))
 
-    return eta, deta, d2eta, lap_eta
+    return jet
 
 
 def eta_norm_coefficients() -> dict[str, float]:
     """Recompute the eta coefficient oracles by the graded Gauss-Legendre rule."""
     t, w = _graded_rule((0.0, ETA_CUT_START, 0.5, 0.9, 0.99, 1.0), 0.02)
-    d1, r3 = _eta_ramp_d1(t), 0.25 * (1 + t) ** 3
-    terms = _integrate(w, _eta_ramp(t) ** 2 * r3, d1 ** 2 * r3,
-                       (_eta_ramp_d2(t) + 3 * d1 / (1 + t)) ** 2 * r3)
+    (w0, w1, w2), r3 = _eta_ramp(t), 0.25 * (1 + t) ** 3
+    terms = _integrate(w, w0 ** 2 * r3, w1 ** 2 * r3, (w2 + 3 * w1 / (1 + t)) ** 2 * r3)
     return {kind: v for kind, (v, _) in zip(("l2", "grad", "lap"), terms)}
 
 
@@ -168,7 +117,6 @@ class Profile:
     value and derivative when the profile has a closed form (evaluation then
     bypasses the spline).  Beyond the sampled span the profile extends by its
     last value: bubble tails are killed by the e^{-4 alpha s} weight anyway.
-    ``stabilization`` carries the cross-index extraction diagnostic.
     """
 
     s: np.ndarray
@@ -176,7 +124,6 @@ class Profile:
     tag: str = "custom"
     fn: Callable | None = field(default=None, repr=False, compare=False)
     dfn: Callable | None = field(default=None, repr=False, compare=False)
-    stabilization: float | None = None
     _f: LogRadialFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -511,12 +458,12 @@ def _pieces(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BubbleSpec:
-    """Scale + profile + mollifier defining one concentrating bubble."""
+    """Scale + profile + mollifier defining one concentrating bubble;
+    ``mollifier=None`` makes it the pure bubble h."""
 
     alpha: float
     profile: Profile
-    mollifier: MollifierSpec = field(default_factory=default_mollifier)
-    mollified: bool = True
+    mollifier: MollifierSpec | None = field(default_factory=default_mollifier)
 
     def __post_init__(self):
         if not 1 <= self.alpha < np.inf:
@@ -527,7 +474,7 @@ def bubble_values(s_points, spec: BubbleSpec) -> np.ndarray:
     """v(s) = sqrt(alpha/8 pi^2) Psi(s/alpha) with Psi = psi * rho_alpha or psi."""
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
     y = s / spec.alpha
-    if spec.mollified:
+    if spec.mollifier is not None:
         prof = mollified_profile_values(spec.profile, spec.alpha, spec.mollifier, y)
     else:
         prof = spec.profile.eval(y)
@@ -538,7 +485,7 @@ def make_bubble(spec: BubbleSpec, grid: LogGrid | None = None) -> LogRadialFunct
     if grid is None:
         grid = bubble_grid(spec.alpha)
     gen = lambda s: bubble_values(s, spec)
-    kind = "g" if spec.mollified else "h"
+    kind = "h" if spec.mollifier is None else "g"
     return LogRadialFunction(grid, gen(grid.nodes),
                              name=f"{kind}[{spec.profile.tag},{spec.alpha:g}]",
                              closed_form=f"bubble-{kind}", generator=gen)
@@ -558,17 +505,18 @@ def falpha_values(s, alpha: float) -> np.ndarray:
     mid = (s >= 0) & (s < alpha)
     out[mid] = s[mid] / np.sqrt(8.0 * PI2 * alpha)
     outer = s < 0
-    out[outer] = -_eta_ramp(np.exp(-s[outer]) - 1.0) / np.sqrt(8.0 * PI2 * alpha)
+    out[outer] = -_eta_ramp(np.exp(-s[outer]) - 1.0)[0] / np.sqrt(8.0 * PI2 * alpha)
     return out
 
 
 def falpha_interface_gaps(alpha: float) -> dict[str, float]:
     """Jumps of v and v' at the two interfaces (relative where sensible)."""
     amp = 1.0 / np.sqrt(8.0 * PI2 * alpha)
-    # r = 1 (s = 0): outer value/slope from eta, inner from the annulus ramp
-    v_outer = -_eta_ramp(np.array([0.0]))[0] * amp
+    # r = 1 (s = 0): outer value/slope from eta, inner from the annulus ramp;
     # dv/ds = -r eta'(r) at r=1
-    dv_outer = _eta_ramp_d1(np.array([0.0]))[0] * amp
+    w0, w1, _ = _eta_ramp(np.array([0.0]))[:, 0]
+    v_outer = -w0 * amp
+    dv_outer = w1 * amp
     gap_v0 = abs(v_outer - 0.0)
     gap_dv0 = abs(dv_outer - amp) / amp
     # s = alpha: annulus vs inner piece

@@ -128,8 +128,8 @@ def run(args) -> int:
         _emit(ser.logradial_to_dict(bb.make_falpha(args.alpha)), args.out)
 
     elif args.command == "gen-bubble":
-        spec = bb.BubbleSpec(alpha=args.alpha, profile=_load_profile(args.profile),
-                             mollified=args.mollified == "true")
+        rho = bb.default_mollifier() if args.mollified == "true" else None
+        spec = bb.BubbleSpec(alpha=args.alpha, profile=_load_profile(args.profile), mollifier=rho)
         _emit(ser.logradial_to_dict(bb.make_bubble(spec)), args.out)
 
     elif args.command == "norm":

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bubbles import _step_down, eta_callables
+from .bubbles import _step_down, eta_jet
 from .gridfn import _graded_rule, _integrate
 
 
@@ -74,7 +74,7 @@ def gaussian_test(r):
 def plateau_test(r):
     """Smooth radial bump: identically 1 on r <= 0.5, 0 from r = 1 on."""
     r = np.asarray(r, dtype=float)
-    return _step_down((r - 0.5) / 0.5)
+    return _step_down((r - 0.5) / 0.5)[0]
 
 
 TEST_FUNCTIONS: dict[str, Callable] = {
@@ -98,7 +98,6 @@ def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
     if not 2 <= alpha < np.inf:
         raise ValueError("alpha must be finite and >= 2")
     a = float(alpha)
-    eta, _, _, lap_eta = eta_callables(a)
 
     # inner ball, t = r e^alpha: |Lap f|^2 = 2 e^{4a}/(pi^2 a), measure 2 pi^2 r^3 dr;
     # 32 pi^2 f^2 = 4a + 4(1-t^2) + (1-t^2)^2/a, so e^{4a} cancels
@@ -119,8 +118,8 @@ def pair_concentration(alpha: float, phi: Callable) -> ConcentrationReport:
         2.0 * PI2 * ((g - np.exp(-4.0 * u)) * p0 + (g - np.exp(4.0 * u - 4.0 * a)) * p1))
 
     r, w = _ETA_RULE
-    pr, e = 2.0 * PI2 * phi(r) * r ** 3, eta(r)
-    lap_outer, exp_outer = _integrate(w, lap_eta(r) ** 2 * pr, np.expm1(32.0 * PI2 * e * e) * pr)
+    pr, (e, _, _, lap_e) = 2.0 * PI2 * phi(r) * r ** 3, eta_jet(a)(r)
+    lap_outer, exp_outer = _integrate(w, lap_e ** 2 * pr, np.expm1(32.0 * PI2 * e * e) * pr)
 
     terms = {
         "lap": {"inner": lap_inner, "annulus": lap_annulus, "outer": lap_outer},

@@ -159,13 +159,14 @@ def _argmax_largest(W: np.ndarray, tie: float) -> int:
 
 
 def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
-                  i_prev: int) -> Profile:
-    """Profile snapshot at position i_last on a fixed y-grid in [0, Y].
+                  i_prev: int) -> tuple[Profile, float]:
+    """Profile snapshot at position i_last on a fixed y-grid in [0, Y], and
+    the stabilization diagnostic ||psi_{n_last} - psi_{n_prev}||_{L2[0,Y]}
+    of the raw snapshots.
 
     psi_n(y) = sqrt(8 pi^2 / alpha_n) v_n(alpha_n y); the returned profile
     is psi at i_last, cleaned against i_prev (_stabilized_snapshot), with
-    psi(y <= 0) forced to 0.  It carries the stabilization diagnostic
-    ||psi_{n_last} - psi_{n_prev}||_{L2[0,Y]} of the raw snapshots.
+    psi(y <= 0) forced to 0.
     """
     y_cap = min([_Y_MAX] + [family.members[i].grid.s_max / scales.alpha[i]
                             for i in (i_last, i_prev)])
@@ -185,8 +186,7 @@ def _extract_pair(family: SequenceFamily, scales: ScaleSeq, i_last: int,
                                   family.indices[i_last], family.indices[i_prev])
     values[0] = 0.0
     psi = Profile(y, values, tag="extracted")   # its grid's weights serve deriv_l2 too
-    psi.stabilization = float(np.sqrt(max(integrate_samples(psi.s, diff * diff), 0.0)))
-    return psi
+    return psi, float(np.sqrt(max(integrate_samples(psi.s, diff * diff), 0.0)))
 
 
 _STAB_GATE = 0.02      # relative plateau disagreement that triggers cleanup
@@ -427,11 +427,12 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         scales = ScaleSeq(alpha)
 
         ok = sorted(found)
-        psi = _extract_pair(working, scales, ok[-1], ok[-2])
-        diagnostics["stabilization"].append(psi.stabilization)
+        psi, stabilization = _extract_pair(working, scales, ok[-1], ok[-2])
+        diagnostics["stabilization"].append(stabilization)
 
-        # candidates subtract where estimate_A0 reads; the kept one completes
-        scored = a0_window(working) if len(rho_candidates) > 1 else range(working.size)
+        # candidates subtract where estimate_A0 reads; a kept step completes
+        # the other members with its bump
+        scored = a0_window(working)
         rems = [subtract_bubble(working, scales, psi, cand, scored) for cand in rho_candidates]
         scores = [estimate_A0(rem, cfg) for rem in rems]
         best = int(np.argmin(scores))
@@ -444,8 +445,7 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         if A_next > A_hist[-1] * tol:
             events.append("pursuit not contracting")
             break
-        if scored.start:
-            nxt = subtract_bubble(nxt, scales, psi, rho_candidates[0], range(scored.start))
+        nxt = subtract_bubble(nxt, scales, psi, rho_candidates[0], range(scored.start))
         comps.append((scales, psi))
         ledgers.append(energy_ledger(working, nxt, psi))
         A_hist.append(A_next)
@@ -455,12 +455,8 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
     else:  # every step kept, yet the mass never fell below stop_frac * A_0
         events.append("max_profiles reached")
 
-    k = len(comps)
-    orth = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            orth[i, j] = abs(np.log(comps[i][0].last() / comps[j][0].last()))
-
+    lasts = np.array([sc.last() for sc, _ in comps])
+    orth = np.abs(np.log(lasts[:, None] / lasts[None, :]))
     return DecompositionResult(components=comps, A_history=A_hist,
                                remainder=working, ledger=ledgers,
                                orthogonality_matrix=orth,

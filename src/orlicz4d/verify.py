@@ -217,8 +217,7 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
     errs = []
     for a in (50, 100, 200):
         g = bb.make_bubble(BubbleSpec(alpha=a, profile=L, mollifier=rho))
-        h = bb.make_bubble(BubbleSpec(alpha=a, profile=L, mollifier=rho,
-                                      mollified=False))
+        h = bb.make_bubble(BubbleSpec(alpha=a, profile=L, mollifier=None))
         (lam_g, est_g), (lam_h, est_h) = _norm(g, cfg), _norm(h, cfg)
         errs.append(abs(lam_g - TARGET_LIMIT) / TARGET_LIMIT)
         if a == 200:
@@ -273,12 +272,12 @@ def suite_bubbles(seed: int = 7) -> SuiteReport:
 
 def two_bubble_family():
     """The synthesized two-orthogonal-bubble family at n = 8, 16, 32, 64:
-    plateau profile at scale n, cusp profile at scale n^2 (pure bubbles; see
-    make_bubble for why)."""
-    rho, L, cusp = bb.default_mollifier(), bb.profile_L(), bb.profile_cusp()
+    plateau profile at scale n, cusp profile at scale n^2, both pure bubbles
+    (``mollifier=None``)."""
+    L, cusp = bb.profile_L(), bb.profile_cusp()
     return synthesize_family([8, 16, 32, 64], lambda n: [
-        BubbleSpec(alpha=float(n), profile=L, mollifier=rho, mollified=False),
-        BubbleSpec(alpha=float(n * n), profile=cusp, mollifier=rho, mollified=False),
+        BubbleSpec(alpha=float(n), profile=L, mollifier=None),
+        BubbleSpec(alpha=float(n * n), profile=cusp, mollifier=None),
     ])
 
 

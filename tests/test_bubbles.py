@@ -268,13 +268,134 @@ def test_mollified_closed_form_profile_keeps_rule():
 
 def test_eta_boundary_data():
     for a in (10.0, 50.0):
-        eta, deta, _, _ = bb.eta_callables(a)
+        jet = bb.eta_jet(a)
+        eta, deta = (lambda r: jet(r)[0]), (lambda r: jet(r)[1])
         assert abs(float(eta(np.array([1.0]))[0])) == 0.0
         assert float(eta(np.array([2.0]))[0]) == 0.0
         assert float(eta(np.array([2.5]))[0]) == 0.0
         want_slope = -1.0 / np.sqrt(8.0 * PI2 * a)
         assert abs(float(deta(np.array([1.0]))[0]) - want_slope) <= 1e-14
     assert abs(-1.0 / np.sqrt(8.0 * PI2 * 10.0) - (-0.035588)) <= 1e-6
+
+
+# one function per derivative, as the step and the ramp were once written:
+# the reference their jets reproduce bit for bit
+
+def _ref_bump_exp(v):
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    m = v > 0
+    out[m] = np.exp(-1.0 / v[m])
+    return out
+
+
+def _ref_step_down(u):
+    u = np.asarray(u, dtype=float)
+    out = np.ones_like(u)
+    out[u >= 1.0] = 0.0
+    m = (u > 0.0) & (u < 1.0)
+    bm = _ref_bump_exp(1.0 - u[m])
+    bp = _ref_bump_exp(u[m])
+    out[m] = bm / (bp + bm)
+    return out
+
+
+def _ref_step_down_d1(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    m = (u > 0.0) & (u < 1.0)
+    um = u[m]
+    bm = _ref_bump_exp(1.0 - um)
+    bp = _ref_bump_exp(um)
+    d = bp + bm
+    q = um ** -2 + (1.0 - um) ** -2
+    out[m] = -bm * bp * q / d ** 2
+    return out
+
+
+def _ref_step_down_d2(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    m = (u > 0.0) & (u < 1.0)
+    um = u[m]
+    bm = _ref_bump_exp(1.0 - um)
+    bp = _ref_bump_exp(um)
+    d = bp + bm
+    dprime = bp / um ** 2 - bm / (1.0 - um) ** 2
+    q = um ** -2 + (1.0 - um) ** -2
+    p = um ** -2 - (1.0 - um) ** -2
+    qprime = -2.0 * um ** -3 + 2.0 * (1.0 - um) ** -3
+    out[m] = (-bm * bp * (p * q + qprime) / d ** 2
+              + 2.0 * bm * bp * q * dprime / d ** 3)
+    return out
+
+
+def _ref_eta_ramp(t):
+    t, c = np.asarray(t, dtype=float), bb.ETA_CUT_START
+    base = 0.5 * (1.0 - (1.0 + t) ** -2)
+    return np.where((t > 0) & (t < 1), base * _ref_step_down((t - c) / (1.0 - c)), 0.0)
+
+
+def _ref_eta_ramp_d1(t):
+    t, c = np.asarray(t, dtype=float), bb.ETA_CUT_START
+    u = (t - c) / (1.0 - c)
+    base = 0.5 * (1.0 - (1.0 + t) ** -2)
+    d = (1.0 + t) ** -3 * _ref_step_down(u) + base * _ref_step_down_d1(u) / (1.0 - c)
+    return np.where((t > 0) & (t < 1), d, np.where(t == 0.0, 1.0, 0.0))
+
+
+def _ref_eta_ramp_d2(t):
+    t, c = np.asarray(t, dtype=float), bb.ETA_CUT_START
+    u = (t - c) / (1.0 - c)
+    base = 0.5 * (1.0 - (1.0 + t) ** -2)
+    d = (-3.0 * (1.0 + t) ** -4 * _ref_step_down(u)
+         + 2.0 * (1.0 + t) ** -3 * _ref_step_down_d1(u) / (1.0 - c)
+         + base * _ref_step_down_d2(u) / (1.0 - c) ** 2)
+    return np.where((t > 0) & (t < 1), d, np.where(t == 0.0, -3.0, 0.0))
+
+
+def _ref_eta_callables(alpha):
+    amp = -1.0 / np.sqrt(8.0 * PI2 * alpha)
+
+    def eta(r):
+        return amp * _ref_eta_ramp(np.asarray(r, dtype=float) - 1.0)
+
+    def deta(r):
+        return amp * _ref_eta_ramp_d1(np.asarray(r, dtype=float) - 1.0)
+
+    def d2eta(r):
+        return amp * _ref_eta_ramp_d2(np.asarray(r, dtype=float) - 1.0)
+
+    def lap_eta(r):
+        r = np.asarray(r, dtype=float)
+        return d2eta(r) + 3.0 * deta(r) / r
+
+    return eta, deta, d2eta, lap_eta
+
+
+def _with_neighbours(*points):
+    p = np.array(points)
+    return np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+
+
+def test_jets_equal_the_per_derivative_forms():
+    # elementwise on the bit patterns: signed zeros and NaNs count too (S' and
+    # S'' are NaN at 0 < u < 1e-154, where u^-2 overflows, in both forms)
+    def same_bits(got, want):
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want, dtype=float).view(np.uint64))
+
+    c = bb.ETA_CUT_START
+    dense = np.linspace(-0.25, 1.25, 200_001)
+    t = np.concatenate([dense, _with_neighbours(0.0, c, 1.0), [-0.0]])
+    r = np.concatenate([1.0 + dense, _with_neighbours(1.0, 1.0 + c, 2.0)])
+    with np.errstate(all="ignore"):
+        same_bits(bb._step_down(t), [f(t) for f in (_ref_step_down, _ref_step_down_d1,
+                                                     _ref_step_down_d2)])
+        same_bits(bb._eta_ramp(t), [f(t) for f in (_ref_eta_ramp, _ref_eta_ramp_d1,
+                                                    _ref_eta_ramp_d2)])
+        for a in (2.0, 20.0, 1e300):
+            same_bits(bb.eta_jet(a)(r), [f(r) for f in _ref_eta_callables(a)])
 
 
 def test_eta_norm_coefficients_frozen():
@@ -328,7 +449,7 @@ def test_falpha_rejects_small_alpha():
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("build", [
-    bb.eta_callables, bb.falpha_grid, bb.appendix_closed_forms, bb.lemma_add1_integrals,
+    bb.eta_jet, bb.falpha_grid, bb.appendix_closed_forms, bb.lemma_add1_integrals,
     bb.bubble_grid, lambda a: bb.make_falpha(a, grid=bb.falpha_grid(10.0)),
     lambda a: bb.BubbleSpec(alpha=a, profile=bb.profile_L()),
     lambda a: conc.pair_concentration(a, conc.gaussian_test)],
@@ -359,12 +480,12 @@ def test_appendix_record_values():
 
 def test_pure_bubble_peak_value():
     L = bb.profile_L()
-    h = bb.make_bubble(bb.BubbleSpec(alpha=100.0, profile=L, mollified=False))
+    h = bb.make_bubble(bb.BubbleSpec(alpha=100.0, profile=L, mollifier=None))
     got = float(h.eval(100.0))
     assert abs(got - np.sqrt(100.0 / (8.0 * PI2))) <= 1e-12
     assert abs(got - 1.1253954) <= 1e-6
     # same closed form at alpha = 50
-    h50 = bb.make_bubble(bb.BubbleSpec(alpha=50.0, profile=L, mollified=False))
+    h50 = bb.make_bubble(bb.BubbleSpec(alpha=50.0, profile=L, mollifier=None))
     assert abs(float(h50.eval(50.0)) - np.sqrt(50.0 / (8.0 * PI2))) <= 1e-12
 
 
@@ -380,7 +501,7 @@ def test_bubble_orlicz_g_vs_h():
     cfg = OrliczConfig(lambda_tol=1e-4)
     L = bb.profile_L()
     g = bb.make_bubble(bb.BubbleSpec(alpha=100.0, profile=L))
-    h = bb.make_bubble(bb.BubbleSpec(alpha=100.0, profile=L, mollified=False))
+    h = bb.make_bubble(bb.BubbleSpec(alpha=100.0, profile=L, mollifier=None))
     lg, lh = orlicz_norm(g, cfg), orlicz_norm(h, cfg)
     assert abs(lg - lh) <= 0.01 * lg
 

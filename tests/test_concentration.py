@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from orlicz4d import concentration as conc
-from orlicz4d.bubbles import eta_callables
+from orlicz4d.bubbles import eta_jet
 
 PI2 = np.pi ** 2
 
@@ -78,7 +78,8 @@ def _quad_oracle(a: float, phi) -> dict:
     """The six split terms by scalar adaptive quadrature at tight tolerances,
     on the same substitutions and breakpoints as the pairings."""
     ea = np.exp(-a)
-    eta, _, _, lap_eta = eta_callables(a)
+    jet = eta_jet(a)
+    eta, lap_eta = (lambda r: jet(r)[0]), (lambda r: jet(r)[3])
     phi1 = lambda r: float(phi(np.array([r]))[0])
     ev = lambda fn, r: float(fn(np.array([r]))[0])
 

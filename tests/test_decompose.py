@@ -30,7 +30,7 @@ INDICES = [8, 16, 32, 64]
 
 def pure_L_family(indices=INDICES):
     return synthesize_family(list(indices), lambda n: [
-        bb.BubbleSpec(alpha=float(n), profile=L, mollifier=RHO, mollified=False)])
+        bb.BubbleSpec(alpha=float(n), profile=L, mollifier=None)])
 
 
 def mollified_L_family(indices=INDICES):
@@ -40,9 +40,8 @@ def mollified_L_family(indices=INDICES):
 
 def two_bubble_family(indices=INDICES):
     return synthesize_family(list(indices), lambda n: [
-        bb.BubbleSpec(alpha=float(n), profile=L, mollifier=RHO, mollified=False),
-        bb.BubbleSpec(alpha=float(n * n), profile=CUSP, mollifier=RHO,
-                      mollified=False)])
+        bb.BubbleSpec(alpha=float(n), profile=L, mollifier=None),
+        bb.BubbleSpec(alpha=float(n * n), profile=CUSP, mollifier=None)])
 
 
 def zero_family():
@@ -90,7 +89,7 @@ def test_estimate_scaling_homogeneity():
 
 def test_detect_pure_bubble_at_corner():
     for a in (16.0, 48.0):
-        h = bb.make_bubble(bb.BubbleSpec(alpha=a, profile=L, mollified=False))
+        h = bb.make_bubble(bb.BubbleSpec(alpha=a, profile=L, mollifier=None))
         got = detect_scale(h, bb.ORLICZ_LIMIT_CONST)
         cell = np.max(np.diff(h.grid.nodes[(h.grid.nodes >= a - 2)
                                            & (h.grid.nodes <= a + 2)]))
@@ -98,7 +97,7 @@ def test_detect_pure_bubble_at_corner():
 
 
 def test_detect_scaling_invariance_exact():
-    h = bb.make_bubble(bb.BubbleSpec(alpha=30.0, profile=L, mollified=False))
+    h = bb.make_bubble(bb.BubbleSpec(alpha=30.0, profile=L, mollifier=None))
     base = detect_scale(h, 0.05)
     for c in (0.1, 3.0, 10.0):
         assert detect_scale(h.scaled(c), c * 0.05) == base
@@ -205,16 +204,16 @@ def test_detect_no_concentration_raises():
 def test_extract_pure_L_exact():
     fam = pure_L_family()
     scales = ScaleSeq(np.array([8.0, 16.0, 32.0, 64.0]))
-    psi = _extract_pair(fam, scales, -1, -2)
+    psi, stabilization = _extract_pair(fam, scales, -1, -2)
     y = psi.s
     assert np.max(np.abs(psi.values - np.clip(y, 0.0, 1.0))) <= 1e-6
-    assert psi.stabilization <= 1e-9
+    assert stabilization <= 1e-9
 
 
 def test_extract_mollified_L_close():
     fam = mollified_L_family()
     scales = ScaleSeq(np.array([8.0, 16.0, 32.0, 64.0]))
-    psi = _extract_pair(fam, scales, -1, -2)
+    psi, _ = _extract_pair(fam, scales, -1, -2)
     sup = np.max(np.abs(psi.values - np.clip(psi.s, 0.0, 1.0)))
     assert sup <= 0.15  # Hoelder budget ~ ||L'||/sqrt(n_N)
 
@@ -223,7 +222,7 @@ def test_extract_derivative_mass_bound():
     fam = mollified_L_family()
     A0 = estimate_A0(fam, CFG)
     scales = ScaleSeq(np.array([8.0, 16.0, 32.0, 64.0]))
-    psi = _extract_pair(fam, scales, -1, -2)
+    psi, _ = _extract_pair(fam, scales, -1, -2)
     assert psi.deriv_l2 >= 0.9 * np.sqrt(6.0 * np.pi ** 2) * A0
 
 
@@ -519,7 +518,7 @@ def test_decompose_max_profiles_reached():
 def test_decompose_scale_min_stop():
     # the same shallow bubble at every index: no scale beyond scale_min
     fam = synthesize_family([8, 16, 32], lambda n: [
-        bb.BubbleSpec(alpha=1.5, profile=L, mollifier=RHO, mollified=False)])
+        bb.BubbleSpec(alpha=1.5, profile=L, mollifier=None)])
     res = decompose(fam, CFG)
     assert res.components == []
     assert len(res.A_history) == 1
@@ -532,7 +531,7 @@ def shallow_early_family():
     s = np.linspace(0.0, 10.0, 2049)
     psi = bb.Profile(s, np.interp(s, [0.0, 0.084, 0.3, 1.0, 10.0], [0.0, 1.2, 0.5, 1.0, 1.0]))
     return synthesize_family(INDICES, lambda n: [
-        bb.BubbleSpec(alpha=float(n), profile=psi, mollified=False)])
+        bb.BubbleSpec(alpha=float(n), profile=psi, mollifier=None)])
 
 
 def test_decompose_scale_min_checks_every_index():

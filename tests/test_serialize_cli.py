@@ -213,7 +213,7 @@ def test_cli_gen_bubble_profiles(tmp_path):
         out = tmp_path / "b.json"
         assert main(["gen-bubble", "--alpha", "24", "--profile", name,
                      "--mollified", "false", "--out", str(out)]) == EXIT_OK
-        spec = bb.BubbleSpec(alpha=24.0, profile=psi, mollified=False)
+        spec = bb.BubbleSpec(alpha=24.0, profile=psi, mollifier=None)
         want = bb.make_bubble(spec, grid=bb.bubble_grid(24.0))
         assert out.read_text() == ser.dumps(ser.logradial_to_dict(want))
 
@@ -311,7 +311,7 @@ def test_cli_decompose_shallow_early_scales(tmp_path):
     s = np.linspace(0.0, 10.0, 2049)
     psi = bb.Profile(s, np.interp(s, [0.0, 0.084, 0.3, 1.0, 10.0], [0.0, 1.2, 0.5, 1.0, 1.0]))
     fam = synthesize_family([8, 16, 32, 64], lambda n: [
-        bb.BubbleSpec(alpha=float(n), profile=psi, mollified=False)])
+        bb.BubbleSpec(alpha=float(n), profile=psi, mollifier=None)])
     fpath, out = tmp_path / "fam.json", tmp_path / "result.json"
     _write(fpath, ser.family_to_dict(fam))
     assert main(["decompose", "--in", str(fpath), "--out", str(out)]) == EXIT_OK
