@@ -56,9 +56,17 @@ def _step_down(u):
     out[0] = 1.0
     out[0, u >= 1.0] = 0.0
     m = (u > 0.0) & (u < 1.0)
-    um = u[m]
+    with np.errstate(over="ignore"):   # 1/u overflows below about 1e-308
+        bp = np.exp(-1.0 / u[m])
+    # where exp(-1/u) underflows (u below about 1/745), S = 1 and S', S'' are
+    # -0, as the formula gives while its u**-k factors stay finite (S' down
+    # to u = 1e-154, S'' to 1e-77); below that 0 * inf would make them NaN
+    flat = np.zeros_like(m)
+    flat[m] = bp == 0.0
+    out[1:, flat] = -0.0
+    m &= ~flat
+    um, bp = u[m], bp[bp > 0.0]
     bm = np.exp(-1.0 / (1.0 - um))
-    bp = np.exp(-1.0 / um)
     d = bp + bm
     dprime = bp / um ** 2 - bm / (1.0 - um) ** 2
     q = um ** -2 + (1.0 - um) ** -2
@@ -393,8 +401,9 @@ def mollified_profile_values(psi: Profile, alpha: float, rho: MollifierSpec, y):
     if psi.fn is not None:
         return psi.eval(y[:, None] - ta[None, :]) @ w
 
-    order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else slice(None)
-    y = y[order]
+    order = np.argsort(y, kind="stable") if np.any(y[1:] < y[:-1]) else None
+    if order is not None:
+        y = y[order]
     knots, coef = psi.pieces
     # in e = alpha (knots[q] - x), the Taylor sums need no powers of -1/alpha
     coef = coef * ((-1.0 / alpha) ** np.arange(4))[:, None]
@@ -443,7 +452,8 @@ def mollified_profile_values(psi: Profile, alpha: float, rho: MollifierSpec, y):
         e2 = ev * (e1 + s1) + s2
         e3 = ev * (e2 + ev * s1 + 2.0 * s2) + s3
         live[rows] = np.add.reduceat(p0 * s0 + p1 * e1 + p2 * e2 + p3 * e3, first)
-    out[order] = out.copy()
+    if order is not None:   # back to the caller's order
+        out[order] = out.copy()
     return out
 
 

@@ -370,6 +370,26 @@ def _detect_family(family: SequenceFamily, A_ref: float) -> tuple[dict[int, floa
     return found, failed
 
 
+def _pick_candidate(remainder_norm: Callable[[int, int], float], n_cand: int,
+                    window: range, tol: float) -> tuple[int, list[float]]:
+    """decompose's first-step pick among n_cand candidates and their scores,
+    each the max of remainder_norm(c, i) over the members i of window it was
+    scored on.  A running max is a lower bound on a full score, so once it
+    times tol reaches candidate 0's score, that candidate can no longer win."""
+    first = {i: remainder_norm(0, i) for i in window}
+    scores = [max(first.values())]
+    order = sorted(window, key=first.__getitem__, reverse=True)
+    for c in range(1, n_cand):
+        score = 0.0
+        for i in order:
+            score = max(score, remainder_norm(c, i))
+            if score * tol >= scores[0]:
+                break
+        scores.append(score)
+    best = int(np.argmin(scores))
+    return (best if scores[best] * tol < scores[0] else 0), scores
+
+
 def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
               stop_frac: float = 0.1, max_profiles: int = 5) -> DecompositionResult:
     """Greedy pursuit: estimate A_0, then per step detect the scales, extract
@@ -381,12 +401,17 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
     whether the mass reaches stop_frac * A_0.  The first step subtracts with
     each bump of _RHO_CANDIDATES (narrow, then standard) and keeps the
     remainder of least mass; the first bump stays unless another beats it
-    by more than the norm's resolution.  Later steps reuse the
-    kept bump.  A step whose remainder has a larger mass (beyond that
-    resolution) is dropped and ends the pursuit, so the reported A-history is
-    nonincreasing and each ledger entry belongs to a kept component.
-    Detection failures at individual indices are tolerated (subsequence
-    surrogate): those scales are imputed log-linearly.
+    by more than the norm's resolution, the factor 1 + 2 lambda_tol.  The
+    first bump is scored on every member estimate_A0 reads; another, member
+    by member from the first bump's most massive one, until its largest
+    mass so far is within that factor of the first bump's score and it can
+    no longer win.  Its score in the event is the largest mass over the
+    members it was scored on.  Later steps reuse the kept bump.  A step
+    whose remainder has a larger mass (beyond that resolution) is dropped
+    and ends the pursuit, so the reported A-history is nonincreasing and
+    each ledger entry belongs to a kept component.  Detection failures at
+    individual indices are tolerated (subsequence surrogate): those scales
+    are imputed log-linearly.
     """
     if not 0.0 < stop_frac < 1.0:
         raise ValueError(f"stop_frac must lie in (0, 1), got {stop_frac}")
@@ -430,13 +455,20 @@ def decompose(family: SequenceFamily, cfg: OrliczConfig | None = None, *,
         psi, stabilization = _extract_pair(working, scales, ok[-1], ok[-2])
         diagnostics["stabilization"].append(stabilization)
 
-        # candidates subtract where estimate_A0 reads; a kept step completes
-        # the other members with its bump
+        # candidates subtract where estimate_A0 reads, the first at once and
+        # the others member by member; a kept step completes the other
+        # members with its bump
         scored = a0_window(working)
-        rems = [subtract_bubble(working, scales, psi, cand, scored) for cand in rho_candidates]
-        scores = [estimate_A0(rem, cfg) for rem in rems]
-        best = int(np.argmin(scores))
-        pick = best if scores[best] * tol < scores[0] else 0
+        rems = [subtract_bubble(working, scales, psi, rho_candidates[0], scored)]
+        rems += [working] * (len(rho_candidates) - 1)
+
+        def remainder_norm(c: int, i: int) -> float:
+            if c:
+                rems[c] = subtract_bubble(rems[c], scales, psi, rho_candidates[c],
+                                          range(i, i + 1))
+            return orlicz_norm(rems[c].members[i], cfg)
+
+        pick, scores = _pick_candidate(remainder_norm, len(rho_candidates), scored, tol)
         nxt, A_next = rems[pick], scores[pick]
         if len(rho_candidates) > 1:
             rho_candidates = (rho_candidates[pick],)

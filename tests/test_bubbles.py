@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -379,8 +381,7 @@ def _with_neighbours(*points):
 
 
 def test_jets_equal_the_per_derivative_forms():
-    # elementwise on the bit patterns: signed zeros and NaNs count too (S' and
-    # S'' are NaN at 0 < u < 1e-154, where u^-2 overflows, in both forms)
+    # elementwise on the bit patterns: signed zeros and NaNs count too
     def same_bits(got, want):
         np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
                                       np.asarray(want, dtype=float).view(np.uint64))
@@ -390,12 +391,33 @@ def test_jets_equal_the_per_derivative_forms():
     t = np.concatenate([dense, _with_neighbours(0.0, c, 1.0), [-0.0]])
     r = np.concatenate([1.0 + dense, _with_neighbours(1.0, 1.0 + c, 2.0)])
     with np.errstate(all="ignore"):
-        same_bits(bb._step_down(t), [f(t) for f in (_ref_step_down, _ref_step_down_d1,
-                                                     _ref_step_down_d2)])
+        want = np.array([f(t) for f in (_ref_step_down, _ref_step_down_d1,
+                                        _ref_step_down_d2)])
+        # the per-derivative forms give S' and S'' NaN at u = nextafter(0, 1),
+        # where u^-2 overflows; the jet gives their limit, -0, as at u = 1e-10
+        tiny = t == np.nextafter(0.0, 1.0)
+        assert tiny.sum() == 1 and np.isnan(want[1:, tiny]).all()
+        want[1:, tiny] = -0.0
+        same_bits(bb._step_down(t), want)
         same_bits(bb._eta_ramp(t), [f(t) for f in (_ref_eta_ramp, _ref_eta_ramp_d1,
                                                     _ref_eta_ramp_d2)])
         for a in (2.0, 20.0, 1e300):
             same_bits(bb.eta_jet(a)(r), [f(r) for f in _ref_eta_callables(a)])
+
+
+def test_step_down_flat_where_its_bump_underflows():
+    # exp(-1/u) is 0 below u of about 1/745: S = 1 and S', S'' are -0 there,
+    # also where u^-2 (u < 1e-154) or u^-4 (u < 1e-77) overflows
+    u = np.array([np.nextafter(0.0, 1.0), 1e-200, 1e-120])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = bb._step_down(u)
+    np.testing.assert_array_equal(jet[0], 1.0)
+    np.testing.assert_array_equal(jet[1:].view(np.uint64),
+                                  np.full((2, 3), -0.0).view(np.uint64))
+    for x in u:   # one point at a time, and as a 0-d input
+        np.testing.assert_array_equal(bb._step_down(x).view(np.uint64),
+                                      np.array([1.0, -0.0, -0.0]).view(np.uint64))
 
 
 def test_eta_norm_coefficients_frozen():

@@ -12,15 +12,16 @@ from orlicz4d import bubbles as bb
 from orlicz4d import verify
 from orlicz4d.corpus import corpus_functions
 from orlicz4d.decompose import (ScaleDetectionError, ScaleSeq, SequenceFamily,
-                                _extract_pair, _impute_scales, a0_window,
+                                _extract_pair, _impute_scales, _pick_candidate, a0_window,
                                 _stabilized_snapshot, decompose, detect_scale,
                                 energy_ledger, estimate_A0, orthogonality_check,
                                 subtract_bubble, synthesize_family)
 from orlicz4d.gridfn import LogGrid, LogRadialFunction, uniform_grid
 from orlicz4d.norms import NormKind, norm
-from orlicz4d.orlicz import OrliczConfig
+from orlicz4d.orlicz import OrliczConfig, orlicz_norm
 
 DEC = sys.modules[decompose.__module__]
+ORL = sys.modules[OrliczConfig.__module__]
 CFG = OrliczConfig(lambda_tol=2e-4)
 RHO = bb.default_mollifier()
 L = bb.profile_L()
@@ -354,6 +355,145 @@ def test_decompose_needs_both_mollifiers(monkeypatch):
         scores = event[event.index("(scores ") + 8:-1].split(", ")
         # the kept score is the mass of the remainder the step keeps
         assert scores[candidates.index(kept)] == f"{res.A_history[1]:.4g}"
+
+
+def _exhaustive_pick(remainder_norm, n_cand, window, tol):
+    # the first step's scoring before challengers could stop early: every
+    # candidate on every member of the window
+    scores = [max(remainder_norm(c, i) for i in window) for c in range(n_cand)]
+    best = int(np.argmin(scores))
+    return (best if scores[best] * tol < scores[0] else 0), scores
+
+
+def _counted(monkeypatch, run, pick=None):
+    """run(), with the subtractions by bump and member, the bubble points
+    synthesized per bump and the J evaluations it made; pick replaces the
+    first step's scoring."""
+    subtracted, points, j_evals = [], {}, [0]
+    subtract, values, functional = DEC.subtract_bubble, DEC.bubble_values, ORL.orlicz_functional
+
+    def counted_subtract(family, scales, psi, rho, only=None):
+        subtracted.append((rho.name, list(only)))
+        return subtract(family, scales, psi, rho, only)
+
+    def counted_values(s, spec):
+        name = spec.mollifier.name if spec.mollifier is not None else None
+        points[name] = points.get(name, 0) + np.asarray(s).size
+        return values(s, spec)
+
+    def counted_functional(f, lam):
+        j_evals[0] += 1
+        return functional(f, lam)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(DEC, "subtract_bubble", counted_subtract)
+        mp.setattr(DEC, "bubble_values", counted_values)
+        mp.setattr(ORL, "orlicz_functional", counted_functional)
+        if pick is not None:
+            mp.setattr(DEC, "_pick_candidate", pick)
+        out = run()
+    return out, subtracted, points, j_evals[0]
+
+
+def _same_run(got, want):
+    assert got.diagnostics["events"] == want.diagnostics["events"]
+    assert got.A_history == want.A_history and got.ledger == want.ledger
+    for (sg, pg), (sw, pw) in zip(got.components, want.components, strict=True):
+        np.testing.assert_array_equal(sg.alpha, sw.alpha)
+        np.testing.assert_array_equal(pg.values, pw.values)
+    for mg, mw in zip(got.remainder.members, want.remainder.members, strict=True):
+        np.testing.assert_array_equal(mg.values, mw.values)
+
+
+def test_decompose_stops_the_losing_bump_after_one_member(monkeypatch):
+    # two-bubble family: the narrow bump's remainder is most massive on the
+    # 5,073-node member, where the standard bump already scores within the
+    # norm's resolution of it, so the standard bump is never synthesized on
+    # the 18,810-node member nor normed there
+    fam = two_bubble_family()
+    sizes = [m.grid.size for m in fam.members]
+    got, subtracted, points, j_got = _counted(monkeypatch, lambda: decompose(fam, CFG))
+    want, _, points_want, j_want = _counted(
+        monkeypatch, lambda: decompose(two_bubble_family(), CFG), _exhaustive_pick)
+    _same_run(got, want)
+    assert sizes[2:] == [5073, 18810]
+    assert [only for name, only in subtracted if name == "standard-bump"] == [[2]]
+    assert points["standard-bump"] == 5073
+    assert points_want["standard-bump"] - points["standard-bump"] == 18810
+    assert points_want["narrow-bump-0.3"] == points["narrow-bump-0.3"]
+    # the J evaluations saved are those of the one norm skipped: 4
+    scales, psi = got.components[0]
+    skipped = subtract_bubble(fam, scales, psi, RHO, range(3, 4)).members[3]
+    j_skipped = _counted(monkeypatch, lambda: orlicz_norm(skipped, CFG))[3]
+    assert j_want - j_got == j_skipped == 4
+
+
+def test_decompose_scores_a_winning_bump_on_every_member(monkeypatch):
+    # mollified L family: the standard bump wins, so it is scored on both
+    # members of the window, from the narrow bump's most massive one
+    # (position 2), before it completes the others
+    got, subtracted, _, _ = _counted(monkeypatch, lambda: decompose(mollified_L_family(), CFG))
+    want, *_ = _counted(monkeypatch, lambda: decompose(mollified_L_family(), CFG),
+                        _exhaustive_pick)
+    _same_run(got, want)
+    assert got.diagnostics["events"][0].startswith("subtraction mollifier: standard-bump")
+    assert [only for name, only in subtracted if name == "standard-bump"] == [[2], [3], [0, 1]]
+
+
+@pytest.mark.parametrize("level", [0.5, 1.0, 1.25])     # times score_0 / tol
+@pytest.mark.parametrize("argmax_at", ["first", "last"])  # of the members scored
+def test_pick_candidate_stops_only_losers(level, argmax_at):
+    # scripted norms on a 3-member window; candidate 0 scores 3 on member 3,
+    # so a challenger is scored on members 3, 4, 2 in that order
+    tol = 1.5
+    first = {2: 1.0, 3: 3.0, 4: 2.0}
+    peak = level * first[3] / tol        # below, at or above score_0 / tol
+    second = {2: 0.5 * peak, 3: peak, 4: 0.25 * peak} if argmax_at == "first" \
+        else {2: peak, 3: 0.5 * peak, 4: 0.25 * peak}
+    table = [first, second]
+    calls = []
+
+    def remainder_norm(c, i):
+        calls.append((c, i))
+        return table[c][i]
+
+    pick, scores = _pick_candidate(remainder_norm, 2, range(2, 5), tol)
+    want_pick, want_scores = _exhaustive_pick(lambda c, i: table[c][i], 2, range(2, 5), tol)
+    assert pick == want_pick == (1 if level < 1.0 else 0)
+    assert scores[pick] == want_scores[pick]            # A_next
+    assert [i for c, i in calls if c == 0] == [2, 3, 4]
+    scored = [i for c, i in calls if c == 1]
+    assert scored[0] == 3
+    assert scores[1] == max(second[i] for i in scored)   # the event's score
+    if pick == 1:
+        assert sorted(scored) == [2, 3, 4]
+    if level >= 1.0 and argmax_at == "first":
+        assert scored == [3]
+
+
+def test_pick_candidate_matches_exhaustive_scoring():
+    # random small-integer norms (ties included), up to 3 candidates
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        n_cand = int(rng.integers(1, 4))
+        window = range(int(rng.integers(0, 3)), 5)
+        tol = float(rng.choice([1.0, 1.25, 2.0]))
+        table = rng.integers(0, 6, size=(n_cand, 5)).astype(float)
+        calls = []
+
+        def remainder_norm(c, i):
+            calls.append((c, i))
+            return table[c, i]
+
+        pick, scores = _pick_candidate(remainder_norm, n_cand, window, tol)
+        want_pick, want_scores = _exhaustive_pick(lambda c, i: table[c, i], n_cand,
+                                                  window, tol)
+        assert pick == want_pick and scores[pick] == want_scores[pick]
+        for c in range(n_cand):
+            scored = [i for k, i in calls if k == c]
+            assert len(set(scored)) == len(scored) and scores[c] == max(table[c, scored])
+            if c == pick or c == 0:
+                assert sorted(scored) == list(window)
 
 
 def test_decompose_same_numbers_as_rule(monkeypatch):
